@@ -9,8 +9,9 @@
 //	                               # in a Perfetto/chrome://tracing viewer
 //
 // Experiments: table1, table2, fig6, fig7, fig8, fig9, fig10, fig11,
-// datasets, hybrid, trace, pipeline, adaptive, codec, faults, perf,
-// relay, status, overload, dfb, all.
+// datasets, hybrid, trace, pipeline, adaptive, codec, faults, relay,
+// status, overload, dfb, all. Performance is measured by `go run
+// ./bench` (see bench/README.md), not here.
 //
 //	paperbench -exp dfb -json BENCH_dfb.json
 //	                               # tile-ownership (DFB) vs binary-swap
@@ -20,9 +21,6 @@
 //	                               # CI gates on bit_identical and the
 //	                               # 256-node overlap/critical-path row
 //
-//	paperbench -exp perf -bench-out BENCH_render.json
-//	                               # multicore hot-path benchmark; the
-//	                               # JSON feeds cmd/benchdiff in CI
 //	paperbench -exp status -trace merged.json -json BENCH_status.json
 //	                               # loopback relay tree with one
 //	                               # impaired link; the provenance
@@ -51,11 +49,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1,table2,fig6,fig7,fig8,fig9,fig10,fig11,datasets,hybrid,trace,pipeline,adaptive,codec,faults,perf,relay,status,overload,dfb,all)")
+	exp := flag.String("exp", "all", "experiment to run (table1,table2,fig6,fig7,fig8,fig9,fig10,fig11,datasets,hybrid,trace,pipeline,adaptive,codec,faults,relay,status,overload,dfb,all)")
 	quick := flag.Bool("quick", false, "reduced sizes and accelerated links")
 	jsonPath := flag.String("json", "", "write results as JSON (experiment id -> values) to this file")
 	tracePath := flag.String("trace", "", "write Chrome trace-event JSON from tracing experiments to this file")
-	benchOut := flag.String("bench-out", "", "write the perf experiment's result (BENCH_render.json format) to this file")
 	flag.Parse()
 
 	ctx := experiments.New(os.Stdout, *quick)
@@ -76,13 +73,12 @@ func main() {
 		"adaptive": wrap(ctx.Adaptive),
 		"codec":    wrap(ctx.Codec),
 		"faults":   wrap(ctx.Faults),
-		"perf":     wrap(ctx.Perf),
 		"relay":    wrap(ctx.Relay),
 		"status":   wrap(ctx.Status),
 		"overload": wrap(ctx.Overload),
 		"dfb":      wrap(ctx.DFB),
 	}
-	order := []string{"table1", "fig6", "fig7", "fig8", "table2", "fig9", "fig10", "fig11", "datasets", "hybrid", "trace", "pipeline", "adaptive", "codec", "faults", "perf", "relay", "status", "overload", "dfb"}
+	order := []string{"table1", "fig6", "fig7", "fig8", "table2", "fig9", "fig10", "fig11", "datasets", "hybrid", "trace", "pipeline", "adaptive", "codec", "faults", "relay", "status", "overload", "dfb"}
 
 	var todo []string
 	switch *exp {
@@ -104,24 +100,6 @@ func main() {
 			os.Exit(1)
 		}
 		results[name] = res
-	}
-	if *benchOut != "" {
-		res, ok := results["perf"]
-		if !ok {
-			fmt.Fprintln(os.Stderr, "paperbench: -bench-out requires the perf experiment (use -exp perf or -exp all)")
-			os.Exit(2)
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: encode bench result: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: write %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
 	}
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(results, "", "  ")

@@ -153,9 +153,17 @@ func main() {
 		}
 	}
 
-	n := 0
+	// The summary reports what this loop consumed, not v.Stats(): the
+	// viewer goroutine keeps receiving after the -frames break.
+	var st display.ViewerStats
 	for fr := range v.Frames() {
-		n++
+		st.LastFrame = time.Now()
+		if st.Frames == 0 {
+			st.FirstFrame = st.LastFrame
+		}
+		st.Frames++
+		st.Bytes += int64(fr.Bytes)
+		st.DecodeTime += fr.DecodeTime
 		fmt.Printf("frame %4d: %dx%d, %6d bytes in %d pieces, decode %v\n",
 			fr.ID, fr.Image.W, fr.Image.H, fr.Bytes, fr.Pieces, fr.DecodeTime)
 		if *save != "" {
@@ -164,14 +172,13 @@ func main() {
 				fatal(err)
 			}
 		}
-		if *frames > 0 && n >= *frames {
+		if *frames > 0 && st.Frames >= *frames {
 			break
 		}
 	}
 	if err := v.Err(); err != nil {
 		fatal(err)
 	}
-	st := v.Stats()
 	fmt.Printf("received %d frames (%.2f fps, %d bytes, decode total %v)\n",
 		st.Frames, st.FPS(), st.Bytes, st.DecodeTime)
 }

@@ -347,47 +347,3 @@ func TestCodecLadder(t *testing.T) {
 		}
 	}
 }
-
-func TestPerfShapes(t *testing.T) {
-	c, out := quickCtx()
-	res, err := c.Perf()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Render) < 3 || res.Render[0].Workers != 1 {
-		t.Fatalf("render sweep malformed: %+v", res.Render)
-	}
-	for _, p := range res.Render {
-		if p.NsPerFrame <= 0 || p.Speedup <= 0 {
-			t.Fatalf("bad render point %+v", p)
-		}
-	}
-	// The pooled hot path must stay allocation-light at steady state;
-	// a tenfold margin over the committed baseline still catches a
-	// reintroduced per-frame pixel-buffer allocation (hundreds of
-	// allocs or one huge slice dominate instantly).
-	if res.RenderAllocsPerFrame > 20 {
-		t.Fatalf("render allocs/frame %.1f — pooled path regressed", res.RenderAllocsPerFrame)
-	}
-	if res.FramePathAllocsPerFrame > 30 {
-		t.Fatalf("frame path allocs/frame %.1f — pooled path regressed", res.FramePathAllocsPerFrame)
-	}
-	byName := map[string]PerfCodecPoint{}
-	for _, p := range res.Codecs {
-		if p.EncodeMBps <= 0 || p.DecodeMBps <= 0 || p.Ratio <= 0 {
-			t.Fatalf("bad codec point %+v", p)
-		}
-		byName[p.Codec] = p
-	}
-	// Table 1's cost ordering must survive pooling: raw >> lzo >> jpeg.
-	if !(byName["raw"].EncodeMBps > byName["lzo"].EncodeMBps &&
-		byName["lzo"].EncodeMBps > byName["jpeg"].EncodeMBps) {
-		t.Fatalf("encode throughput ordering broken: %+v", res.Codecs)
-	}
-	if data, err := json.Marshal(res); err != nil || len(data) == 0 {
-		t.Fatalf("perf result not JSON-serializable: %v", err)
-	}
-	if !strings.Contains(out.String(), "Perf") {
-		t.Fatal("perf table not printed")
-	}
-}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -306,91 +305,3 @@ func trimFloat(x float64) string {
 	}
 	return fmt.Sprintf("%g", x)
 }
-
-// GaugeSet is a concurrency-safe set of named float64 gauges — the
-// live per-client instrumentation surface of the streaming subsystem
-// (estimated bandwidth, chosen quality, drops, cache hit rate, ...).
-type GaugeSet struct {
-	mu   sync.RWMutex
-	vals map[string]float64
-}
-
-// NewGaugeSet returns an empty gauge set.
-func NewGaugeSet() *GaugeSet {
-	return &GaugeSet{vals: map[string]float64{}}
-}
-
-// Set stores a gauge value.
-func (g *GaugeSet) Set(name string, v float64) {
-	g.mu.Lock()
-	g.vals[name] = v
-	g.mu.Unlock()
-}
-
-// Add increments a gauge by d (creating it at d).
-func (g *GaugeSet) Add(name string, d float64) {
-	g.mu.Lock()
-	g.vals[name] += d
-	g.mu.Unlock()
-}
-
-// Get reads a gauge (0 if unset).
-func (g *GaugeSet) Get(name string) float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.vals[name]
-}
-
-// Snapshot copies every gauge.
-func (g *GaugeSet) Snapshot() map[string]float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make(map[string]float64, len(g.vals))
-	for k, v := range g.vals {
-		out[k] = v
-	}
-	return out
-}
-
-// Names returns the gauge names, sorted.
-func (g *GaugeSet) Names() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]string, 0, len(g.vals))
-	for k := range g.vals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Stopwatch measures named phases of a repeated operation.
-type Stopwatch struct {
-	start  time.Time
-	phases map[string]*Sample
-}
-
-// NewStopwatch returns a ready stopwatch.
-func NewStopwatch() *Stopwatch {
-	return &Stopwatch{phases: map[string]*Sample{}}
-}
-
-// Start begins a lap.
-func (s *Stopwatch) Start() { s.start = time.Now() }
-
-// Lap records the time since Start (or the previous Lap) under name.
-func (s *Stopwatch) Lap(name string) time.Duration {
-	now := time.Now()
-	d := now.Sub(s.start)
-	s.start = now
-	p := s.phases[name]
-	if p == nil {
-		p = &Sample{}
-		s.phases[name] = p
-	}
-	p.AddDuration(d)
-	return d
-}
-
-// Phase returns the sample for a phase name (nil if never lapped).
-func (s *Stopwatch) Phase(name string) *Sample { return s.phases[name] }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -167,68 +166,5 @@ func TestSeries(t *testing.T) {
 	}
 	if !strings.Contains(out, "60.000") {
 		t.Fatalf("values missing:\n%s", out)
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	sw := NewStopwatch()
-	sw.Start()
-	time.Sleep(5 * time.Millisecond)
-	d := sw.Lap("render")
-	if d < 4*time.Millisecond {
-		t.Fatalf("lap = %v", d)
-	}
-	time.Sleep(2 * time.Millisecond)
-	sw.Lap("send")
-	sw.Start()
-	time.Sleep(5 * time.Millisecond)
-	sw.Lap("render")
-	if sw.Phase("render").N() != 2 {
-		t.Fatalf("render laps = %d", sw.Phase("render").N())
-	}
-	if sw.Phase("send").N() != 1 {
-		t.Fatal("send laps")
-	}
-	if sw.Phase("missing") != nil {
-		t.Fatal("missing phase must be nil")
-	}
-}
-
-func TestGaugeSet(t *testing.T) {
-	g := NewGaugeSet()
-	if g.Get("missing") != 0 {
-		t.Fatal("unset gauge not zero")
-	}
-	g.Set("bw", 100)
-	g.Add("bw", 50)
-	g.Add("drops", 1)
-	if g.Get("bw") != 150 || g.Get("drops") != 1 {
-		t.Fatalf("bw=%v drops=%v", g.Get("bw"), g.Get("drops"))
-	}
-	snap := g.Snapshot()
-	g.Set("bw", 0)
-	if snap["bw"] != 150 {
-		t.Fatalf("snapshot not a copy: %v", snap)
-	}
-	names := g.Names()
-	if len(names) != 2 || names[0] != "bw" || names[1] != "drops" {
-		t.Fatalf("names = %v", names)
-	}
-	// Concurrent use is the point of the type.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				g.Add("n", 1)
-				_ = g.Get("n")
-				_ = g.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	if g.Get("n") != 800 {
-		t.Fatalf("n = %v", g.Get("n"))
 	}
 }

@@ -16,7 +16,7 @@
 //
 // The registry absorbs the previously scattered instrumentation
 // surfaces (transport.DaemonStats, stream.BrokerStats, the broker's
-// per-client metrics.GaugeSet) behind one exposition endpoint:
+// per-client snapshots) behind one exposition endpoint:
 // counters and gauges may be backed by live closures over existing
 // atomics, histograms wrap metrics.Sample with p50/p95/p99 summaries,
 // and collectors emit dynamic per-client series at scrape time.

@@ -21,8 +21,7 @@ func testVolumeB(b *testing.B) *vol.Volume {
 }
 
 // BenchmarkRenderWorkers measures the tile-parallel ray caster at
-// several worker counts; the perf harness (paperbench -exp perf)
-// reports the same shape as speedup-vs-cores.
+// several worker counts — the one place worker scaling is measured.
 func BenchmarkRenderWorkers(b *testing.B) {
 	v := testVolumeB(b)
 	cam, err := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)

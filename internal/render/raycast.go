@@ -196,10 +196,10 @@ func RenderRegion(s Sampler, region vol.Box, cam *Camera, t *tf.TF, opt Options,
 // queue. All fields are read-only during rendering; dst is shared but
 // each pixel is written by exactly one renderRows call.
 type rowRenderer struct {
-	s         Sampler
-	region    vol.Box
-	cam       *Camera
-	opt       *Options
+	s      Sampler
+	region vol.Box
+	cam    *Camera
+	opt    *Options
 	// lut is the transfer function's baked classification table,
 	// indexed directly so the inner sampling loop is a flat load
 	// instead of a method call (see tf.LUT — identical arithmetic to

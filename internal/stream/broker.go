@@ -11,7 +11,6 @@ import (
 	"repro/internal/compress/prog"
 	"repro/internal/display"
 	"repro/internal/guard"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/provenance"
 	"repro/internal/transport"
@@ -112,7 +111,6 @@ type client struct {
 	est    *Estimator
 	ctrl   *Controller
 	pacer  *Pacer
-	gauges *metrics.GaugeSet
 
 	sentMu sync.Mutex
 	sent   map[uint32]time.Time
@@ -130,6 +128,10 @@ type client struct {
 	lastPoint    Point
 	lastPointSet bool
 
+	// lastDrops is the pacer's drop count at the previous send; the
+	// delta is the controller's congestion signal. Sender-goroutine-local.
+	lastDrops int64
+
 	framesSent atomic.Int64
 	bytesSent  atomic.Int64
 }
@@ -146,7 +148,6 @@ type ClientSnapshot struct {
 	BytesSent  int64
 	Drops      int64
 	QueueLen   int
-	Gauges     map[string]float64
 }
 
 // NewBroker builds a broker; Serve or ServeConn attach connections.
@@ -267,8 +268,8 @@ func (b *Broker) SetControlForward(fn func(transport.Message)) {
 func (b *Broker) SetTracer(t *obs.Tracer) { b.tracer.Store(t) }
 
 // Instrument registers the broker's counters, encode/send-stage
-// histograms, and a per-client gauge collector on a metrics registry —
-// absorbing BrokerStats, the cache stats and the per-client GaugeSets
+// histograms, and a per-client collector on a metrics registry —
+// absorbing BrokerStats, the cache stats and the client snapshots
 // behind one exposition endpoint. Safe to call while serving.
 func (b *Broker) Instrument(reg *obs.Registry) {
 	if reg == nil {
@@ -301,7 +302,7 @@ func (b *Broker) Instrument(reg *obs.Registry) {
 	b.ifdH.Store(reg.Histogram("broker_interframe_delay_seconds",
 		"Delay between consecutive frames sent to any client."))
 	// Per-client sessions come and go; a collector re-emits their
-	// gauge sets with a client label at every scrape.
+	// snapshots with a client label at every scrape.
 	reg.Collect(func(emit obs.Emit) {
 		for _, snap := range b.ClientSnapshots() {
 			label := fmt.Sprintf(`{client="%d"}`, snap.ID)
@@ -309,9 +310,9 @@ func (b *Broker) Instrument(reg *obs.Registry) {
 			emit("broker_client_bytes_sent"+label, "Bytes sent to this session.", "counter", float64(snap.BytesSent))
 			emit("broker_client_drops"+label, "Frames dropped for this session.", "counter", float64(snap.Drops))
 			emit("broker_client_queue_len"+label, "Paced frames queued for this session.", "gauge", float64(snap.QueueLen))
-			for name, v := range snap.Gauges {
-				emit("broker_client_"+name+label, "Per-session gauge bridged from the stream GaugeSet.", "gauge", v)
-			}
+			emit("broker_client_bandwidth_Bps"+label, "Estimated link bandwidth to this session, bytes per second.", "gauge", snap.Bandwidth)
+			emit("broker_client_rtt_ms"+label, "Smoothed ack round trip for this session.", "gauge", float64(snap.RTT)/float64(time.Millisecond))
+			emit("broker_client_quality"+label, "Quality setting of this session's current ladder rung.", "gauge", float64(snap.Point.Quality))
 		}
 	})
 }
@@ -605,13 +606,12 @@ func (b *Broker) ingest(payload []byte, tc *transport.TraceCtx) (uint32, bool) {
 
 func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
 	c := &client{
-		kind:   kind,
-		conn:   conn,
-		fr:     fr,
-		est:    NewEstimator(b.cfg.Alpha),
-		pacer:  NewPacer(b.cfg.QueueDepth),
-		gauges: metrics.NewGaugeSet(),
-		sent:   map[uint32]time.Time{},
+		kind:  kind,
+		conn:  conn,
+		fr:    fr,
+		est:   NewEstimator(b.cfg.Alpha),
+		pacer: NewPacer(b.cfg.QueueDepth),
+		sent:  map[uint32]time.Time{},
 	}
 	if ra := conn.RemoteAddr(); ra != nil {
 		c.remote = ra.String()
@@ -700,9 +700,7 @@ func (b *Broker) onAck(c *client, ack *transport.AckMsg) {
 	if !ok {
 		return
 	}
-	rtt := time.Since(t0)
-	c.est.ObserveRTT(rtt)
-	c.gauges.Set("rtt_ms", float64(rtt)/float64(time.Millisecond))
+	c.est.ObserveRTT(time.Since(t0))
 }
 
 // routeToRenderers relays a user-control message to every renderer and
@@ -760,7 +758,12 @@ func (b *Broker) sender(c *client) {
 			// every client is floored at or below a ladder midpoint.
 			c.ctrl.SetFloor(b.gov.QualityFloor(c.ctrl.LadderLen()))
 		}
-		point := c.ctrl.Pick()
+		c.ctrl.Pick()
+		// Frames the pacer evicted while the previous send was on the
+		// wire are congestion evidence the bandwidth estimate can miss.
+		drops := c.pacer.Drops()
+		point := c.ctrl.ObserveDrops(drops - c.lastDrops)
+		c.lastDrops = drops
 		if c.est.Samples() == 0 && c.kind == transport.KindViewer {
 			// Cold start: no bandwidth evidence yet, and this could be a
 			// 45 KB/s transoceanic path. Ship the cheapest rung (the
@@ -899,12 +902,6 @@ func (b *Broker) sender(c *client) {
 		c.bytesSent.Add(int64(totalSent))
 		b.stats.FramesOut.Add(1)
 		b.stats.BytesOut.Add(int64(totalSent))
-		c.gauges.Set("bandwidth_Bps", c.est.Bandwidth())
-		c.gauges.Set("quality", float64(point.Quality))
-		c.gauges.Set("frame_bytes", float64(len(data)))
-		c.gauges.Set("drops", float64(c.pacer.Drops()))
-		c.gauges.Set("queue_len", float64(c.pacer.Len()))
-		c.gauges.Set("cache_hit_rate", b.cache.Stats().HitRate())
 	}
 }
 
@@ -950,7 +947,6 @@ func (b *Broker) ClientSnapshots() []ClientSnapshot {
 			BytesSent:  c.bytesSent.Load(),
 			Drops:      c.pacer.Drops(),
 			QueueLen:   c.pacer.Len(),
-			Gauges:     c.gauges.Snapshot(),
 		})
 	}
 	sortSnapshots(out)

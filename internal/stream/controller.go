@@ -197,6 +197,28 @@ func (c *Controller) Pick() Point {
 	return c.ladder[c.cur]
 }
 
+// dropStepDown is how many pacer evictions between two consecutive
+// sends count as congestion whatever the bandwidth estimate says.
+const dropStepDown = 3
+
+// ObserveDrops takes the number of frames the client's pacer evicted
+// since the previous send and returns the rung to send at. A burst of
+// dropStepDown or more means frames arrive faster than the link drains
+// them — true even when write-blocking time over-reads bandwidth on a
+// buffered link — so the controller steps down one rung (the bottom
+// rung is the floor) and restarts the upgrade hysteresis.
+func (c *Controller) ObserveDrops(n int64) Point {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n >= dropStepDown {
+		c.better = 0
+		if c.cur < len(c.ladder)-1 {
+			c.cur++
+		}
+	}
+	return c.ladder[c.cur]
+}
+
 // Current returns the active rung without advancing the hysteresis.
 func (c *Controller) Current() Point {
 	c.mu.Lock()

@@ -67,10 +67,17 @@ func TestBrokerInstrumentAndTrace(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE broker_frames_out_total counter",
 		"# TYPE broker_send_seconds summary",
-		`broker_client_frames_sent{client="1"}`,
 	} {
 		if !strings.Contains(expo.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, expo.String())
+		}
+	}
+	// Every per-client series is emitted once per scrape, from the
+	// client snapshot alone.
+	for _, name := range []string{"frames_sent", "bytes_sent", "drops", "queue_len", "bandwidth_Bps", "rtt_ms", "quality"} {
+		series := "\nbroker_client_" + name + `{client="1"} `
+		if got := strings.Count(expo.String(), series); got != 1 {
+			t.Fatalf("%q appears %d times in the exposition, want 1:\n%s", series, got, expo.String())
 		}
 	}
 

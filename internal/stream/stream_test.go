@@ -82,6 +82,41 @@ func TestControllerDowngradesImmediately(t *testing.T) {
 	}
 }
 
+func TestControllerStepsDownOnPacerDrops(t *testing.T) {
+	est := NewEstimator(0.5)
+	ladder := []Point{{Codec: "jpeg", Quality: 85}, {Codec: "jpeg", Quality: 40}, {Codec: "jpeg", Quality: 10}}
+	c := NewController(est, 100*time.Millisecond, ladder, 0.5, 3)
+	for _, p := range ladder {
+		c.ObserveSize(p, 2000)
+	}
+	// The estimate says every rung fits (the over-read a buffered link
+	// produces), so only the drop reports can move the controller.
+	est.Observe(1000000, time.Second)
+	if p := c.ObserveDrops(2); p.Quality != 85 {
+		t.Fatalf("fewer than %d drops must not step down, got %v", dropStepDown, p)
+	}
+	if p := c.ObserveDrops(dropStepDown); p.Quality != 40 {
+		t.Fatalf("one rung per drop report, got %v", p)
+	}
+	// Two favorable picks, then another burst: the upgrade hysteresis
+	// restarts, so two more picks still hold the rung.
+	c.Pick()
+	c.Pick()
+	if p := c.ObserveDrops(dropStepDown + 4); p.Quality != 10 {
+		t.Fatalf("second report steps one more rung, got %v", p)
+	}
+	if p := c.ObserveDrops(dropStepDown); p.Quality != 10 {
+		t.Fatalf("stepped below the last rung: %v", p)
+	}
+	c.Pick()
+	if p := c.Pick(); p.Quality != 10 {
+		t.Fatalf("upgrade hysteresis did not restart, got %v", p)
+	}
+	if p := c.Pick(); p.Quality != 40 {
+		t.Fatalf("third favorable pick should upgrade one rung, got %v", p)
+	}
+}
+
 func TestControllerUpgradeHysteresis(t *testing.T) {
 	est := NewEstimator(0.5)
 	ladder := []Point{{Codec: "jpeg", Quality: 85}, {Codec: "jpeg", Quality: 10}}

@@ -185,7 +185,20 @@ func TestChaosRecovery(t *testing.T) {
 			// the daemon rejects the bogus length (ErrTooLarge) and
 			// resets the connection; the session reconnects. The
 			// corrupted frame plus any in flight behind it are lost.
-			plan:          fault.Plan{CorruptOffsets: []int64{chaosHelloLen + 3*chaosWireFrameLen}},
+			plan: fault.Plan{CorruptOffsets: []int64{chaosHelloLen + 3*chaosWireFrameLen}},
+			// Hold the second half until the reset has been noticed:
+			// until then every write lands in the doomed socket's
+			// buffer, and on a busy host that can be all six frames.
+			mid: func(t *testing.T, env *chaosEnv) {
+				deadline := time.Now().Add(10 * time.Second)
+				for time.Now().Before(deadline) {
+					if st := env.rend.State(); st.Reconnects >= 1 && st.Connected {
+						return
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+				t.Fatal("renderer session did not reconnect after the daemon reset it")
+			},
 			firstHalfMin:  3,
 			totalMin:      2*half - 3,
 			wantReconnect: true,
