@@ -41,7 +41,6 @@ func main() {
 	loop := flag.Bool("loop", false, "repeat the animation until interrupted")
 	region := flag.Bool("regioninput", false, "parallel I/O: each node reads its own brick (§7.1)")
 	nodeLinks := flag.Bool("nodelinks", false, "one daemon connection per compressed piece (Figure 2)")
-	accelFlag := flag.Bool("accel", false, "per-brick empty-space skipping (identical images, fewer samples)")
 	reconnect := flag.Bool("reconnect", false, "survive daemon restarts: auto-redial with exponential backoff, dropping frames while the link is down")
 	heartbeat := flag.Duration("heartbeat", 0, "with -reconnect: ping the daemon on this interval and redial after 3x of inbound silence (0 = off)")
 	breakerN := flag.Int("breaker", 0, "with -reconnect: open a circuit after this many consecutive failed redials, skipping the network until a half-open probe succeeds (0 = off)")
@@ -62,7 +61,7 @@ func main() {
 		ImageW: *size, ImageH: *size,
 		Codec: *codec, Pieces: *pieces,
 		TF: tfn, Steps: *steps, Loop: *loop,
-		RegionInput: *region, NodeLinks: *nodeLinks, Accel: *accelFlag,
+		RegionInput: *region, NodeLinks: *nodeLinks,
 	}
 	var br *guard.Breaker
 	if *reconnect {

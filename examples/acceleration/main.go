@@ -32,11 +32,11 @@ func main() {
 	tfn := tf.Jet()
 	cam := (*render.Camera)(nil)
 
-	table := metrics.NewTable("mode", "time", "samples", "skipped/reused")
+	table := metrics.NewTable("mode", "time", "rays", "samples", "skipped/reused")
 
 	// 1. Plain.
 	var plainTime time.Duration
-	var plainSamples int
+	var plainRays, plainSamples int
 	for s := 0; s < steps; s++ {
 		v, err := store.Fetch(20 + s)
 		if err != nil {
@@ -54,13 +54,14 @@ func main() {
 			log.Fatal(err)
 		}
 		plainTime += time.Since(t0)
+		plainRays += st.Rays
 		plainSamples += st.Samples
 	}
-	table.Row("plain", plainTime.Round(time.Millisecond).String(), fmt.Sprint(plainSamples), "-")
+	table.Row("plain", plainTime.Round(time.Millisecond).String(), fmt.Sprint(plainRays), fmt.Sprint(plainSamples), "-")
 
 	// 2. Empty-space skipping.
 	var accelTime time.Duration
-	var accelSamples, skipped int
+	var accelRays, accelSamples, skipped int
 	for s := 0; s < steps; s++ {
 		v, err := store.Fetch(20 + s)
 		if err != nil {
@@ -78,11 +79,14 @@ func main() {
 			log.Fatal(err)
 		}
 		accelTime += time.Since(t0)
+		accelRays += st.Rays
 		accelSamples += st.Samples
 		skipped += st.Skipped
 	}
+	// Rays falls because rays are clipped to the non-empty macrocells;
+	// skipped counts only the samples leapt along the rays still cast.
 	table.Row("empty-space skip", accelTime.Round(time.Millisecond).String(),
-		fmt.Sprint(accelSamples), fmt.Sprintf("%d skipped", skipped))
+		fmt.Sprint(accelRays), fmt.Sprint(accelSamples), fmt.Sprintf("%d skipped", skipped))
 
 	// 3. Differential rendering across the animation.
 	cache := temporal.New()
@@ -103,7 +107,7 @@ func main() {
 		reused += st.ReusedPixels
 	}
 	table.Row("differential", diffTime.Round(time.Millisecond).String(),
-		fmt.Sprint(diffSamples), fmt.Sprintf("%d px reused", reused))
+		"-", fmt.Sprint(diffSamples), fmt.Sprintf("%d px reused", reused))
 
 	fmt.Printf("%d frames of the jet at %dx%d:\n\n%s\n", steps, size, size, table.String())
 	fmt.Println("all three modes produce identical images (see internal/render and")

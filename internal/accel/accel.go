@@ -39,8 +39,9 @@ type Grid struct {
 }
 
 // Build constructs the grid for a volume. normalize maps raw values to
-// [0,1] (pass the volume's or brick's Normalize); origin places the
-// data in parent coordinates (zero for whole volumes).
+// [0,1] and must be monotone non-decreasing (pass the volume's or
+// brick's Normalize); origin places the data in parent coordinates
+// (zero for whole volumes).
 func Build(v *vol.Volume, origin [3]int, normalize func(float32) float32, cellSize int) (*Grid, error) {
 	if cellSize <= 0 {
 		cellSize = DefaultCellSize
@@ -59,34 +60,61 @@ func Build(v *vol.Volume, origin [3]int, normalize func(float32) float32, cellSi
 	n := g.nx * g.ny * g.nz
 	g.minv = make([]float32, n)
 	g.maxv = make([]float32, n)
+	posInf, negInf := float32(math.Inf(1)), float32(math.Inf(-1))
 	for i := range g.minv {
-		g.minv[i] = float32(math.Inf(1))
-		g.maxv[i] = float32(math.Inf(-1))
+		g.minv[i] = posInf
+		g.maxv[i] = negInf
 	}
-	// One pass over the grid points; each point contributes to every
-	// cell whose border (cell extended by one point on the low side)
-	// contains it, so interpolated values are covered.
+	// One pass over the x-rows of the raw data. Cell c covers points
+	// [c*cellSize, (c+1)*cellSize] along each axis — its own points plus
+	// the one-point border trilinear interpolation reads beyond its high
+	// face — so a row reduces to one raw min/max per cell-x span, folded
+	// into the one or two cells the row supports along y and along z.
+	// Only the per-cell bounds are normalized: normalize is monotone, so
+	// normalize(min raw) is exactly the min of the normalized values.
+	rowMin := make([]float32, g.nx)
+	rowMax := make([]float32, g.nx)
 	for z := 0; z < v.Dims.NZ; z++ {
+		cz0, cz1 := cellRange(z, cellSize)
 		for y := 0; y < v.Dims.NY; y++ {
-			for x := 0; x < v.Dims.NX; x++ {
-				val := normalize(v.At(x, y, z))
-				cx0, cx1 := cellRange(x, cellSize, g.nx)
-				cy0, cy1 := cellRange(y, cellSize, g.ny)
-				cz0, cz1 := cellRange(z, cellSize, g.nz)
-				for cz := cz0; cz <= cz1; cz++ {
-					for cy := cy0; cy <= cy1; cy++ {
-						for cx := cx0; cx <= cx1; cx++ {
-							i := g.cellIndex(cx, cy, cz)
-							if val < g.minv[i] {
-								g.minv[i] = val
-							}
-							if val > g.maxv[i] {
-								g.maxv[i] = val
-							}
+			cy0, cy1 := cellRange(y, cellSize)
+			off := v.Index(0, y, z)
+			row := v.Data[off : off+v.Dims.NX]
+			for cx := range rowMin {
+				x0 := cx * cellSize
+				lo, hi := posInf, negInf
+				for _, val := range row[x0:min(x0+cellSize+1, len(row))] {
+					if val < lo {
+						lo = val
+					}
+					if val > hi {
+						hi = val
+					}
+				}
+				rowMin[cx], rowMax[cx] = lo, hi
+			}
+			for cz := cz0; cz <= cz1; cz++ {
+				for cy := cy0; cy <= cy1; cy++ {
+					base := g.cellIndex(0, cy, cz)
+					mins, maxs := g.minv[base:base+g.nx], g.maxv[base:base+g.nx]
+					for cx := range mins {
+						if rowMin[cx] < mins[cx] {
+							mins[cx] = rowMin[cx]
+						}
+						if rowMax[cx] > maxs[cx] {
+							maxs[cx] = rowMax[cx]
 						}
 					}
 				}
 			}
+		}
+	}
+	for i := range g.minv {
+		// A cell no comparable value touched keeps min > max, which
+		// EmptyMask reads as empty.
+		if g.minv[i] <= g.maxv[i] {
+			g.minv[i] = normalize(g.minv[i])
+			g.maxv[i] = normalize(g.maxv[i])
 		}
 	}
 	return g, nil
@@ -96,19 +124,24 @@ func Build(v *vol.Volume, origin [3]int, normalize func(float32) float32, cellSi
 // grid point p: its own cell plus the previous cell when p lies on a
 // cell boundary (trilinear interpolation reads one point beyond the
 // cell's high face).
-func cellRange(p, cellSize, n int) (lo, hi int) {
+func cellRange(p, cellSize int) (lo, hi int) {
 	c := p / cellSize
-	lo, hi = c, c
 	if p%cellSize == 0 && c > 0 {
-		lo = c - 1
+		return c - 1, c
 	}
-	if hi > n-1 {
-		hi = n - 1
-	}
-	return lo, hi
+	return c, c
 }
 
 func (g *Grid) cellIndex(cx, cy, cz int) int { return cx + g.nx*(cy+g.ny*cz) }
+
+// Bounds returns the grid points the grid covers, in parent
+// coordinates.
+func (g *Grid) Bounds() vol.Box {
+	return vol.Box{
+		X0: g.Origin[0], Y0: g.Origin[1], Z0: g.Origin[2],
+		X1: g.Origin[0] + g.Dims.NX, Y1: g.Origin[1] + g.Dims.NY, Z1: g.Origin[2] + g.Dims.NZ,
+	}
+}
 
 // Range returns the normalized value bounds of the cell containing
 // parent-grid position (x,y,z); ok=false outside the grid.
@@ -151,6 +184,38 @@ func (g *Grid) EmptyMask(maxAlpha func(lo, hi float32) float32) []bool {
 		mask[i] = maxAlpha(g.minv[i], g.maxv[i]) <= 0
 	}
 	return mask
+}
+
+// ActiveBox returns the parent-coordinate bounding box of the grid
+// points in cells that mask (from EmptyMask) leaves non-empty, or
+// ok=false when every cell is empty. Any position CellAt places in a
+// non-empty cell lies inside the box's continuous extent, so a ray
+// caster may ignore everything beyond it.
+func (g *Grid) ActiveBox(mask []bool) (box vol.Box, ok bool) {
+	lo := [3]int{g.nx, g.ny, g.nz}
+	hi := [3]int{-1, -1, -1}
+	i := 0
+	for cz := 0; cz < g.nz; cz++ {
+		for cy := 0; cy < g.ny; cy++ {
+			for cx := 0; cx < g.nx; cx++ {
+				if !mask[i] {
+					for a, c := range [3]int{cx, cy, cz} {
+						lo[a] = min(lo[a], c)
+						hi[a] = max(hi[a], c)
+					}
+				}
+				i++
+			}
+		}
+	}
+	if hi[0] < 0 {
+		return vol.Box{}, false
+	}
+	return vol.Box{
+		X0: g.Origin[0] + lo[0]*g.cell, X1: g.Origin[0] + (hi[0]+1)*g.cell,
+		Y0: g.Origin[1] + lo[1]*g.cell, Y1: g.Origin[1] + (hi[1]+1)*g.cell,
+		Z0: g.Origin[2] + lo[2]*g.cell, Z1: g.Origin[2] + (hi[2]+1)*g.cell,
+	}.Intersect(g.Bounds()), true
 }
 
 // CellExit returns the ray parameter at which the ray

@@ -466,28 +466,3 @@ func TestMergePiecesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Server-level accel must not change the delivered frames (lossless
-// codec, identical pixels).
-func TestServerAccelIdentical(t *testing.T) {
-	run := func(accel bool) *img.Frame {
-		s, err := StartSession(testStore(1), SessionOptions{
-			Server: ServerOptions{
-				P: 2, L: 1, ImageW: 40, ImageH: 40,
-				Codec: "raw", TF: tf.Jet(), Accel: accel,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		fr := collectFrames(t, s, 1, 20*time.Second)[0]
-		if err := s.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		return fr.im
-	}
-	if !run(false).Equal(run(true)) {
-		t.Fatal("accelerated server frame differs")
-	}
-}

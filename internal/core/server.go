@@ -67,9 +67,6 @@ type ServerOptions struct {
 	// concurrently. Combine with a wan.Shared wrap so the flows
 	// contend for one modelled physical link.
 	NodeLinks bool
-	// Accel enables per-brick empty-space skipping on the render
-	// nodes (identical images, fewer samples).
-	Accel bool
 	// Reconnect, when set, makes the daemon link a resumable session:
 	// on connection loss it redials with exponential backoff + jitter
 	// per the policy, re-advertises codecs, and resumes streaming.
@@ -350,7 +347,6 @@ func (s *Server) Run() error {
 			Steps:       steps,
 			EmitPieces:  true,
 			RegionInput: s.opt.RegionInput,
-			Accel:       s.opt.Accel,
 			Trace:       s.opt.Trace,
 			Metrics:     s.opt.Metrics,
 			TFFn: func(step int) *tf.TF {

@@ -71,25 +71,26 @@ func (c *Context) Datasets() (*DatasetsResult, error) {
 	if c.Quick {
 		reps = 1
 	}
-	jetCost, err := c.measureRenderCost("jet", 128)
-	if err != nil {
-		return nil, err
-	}
 	res := &DatasetsResult{}
+	var jetSamples int
 	for _, name := range []string{"jet", "vortex", "mixing"} {
 		dims := datasetDims(name)
 		m, _ := cal.ScaleToPaper(sim.RWCP(), jetDims())
 		w := cal.WorkloadFor(m, dims, 16, size, size)
 		w.Link = link
-		// Scale the jet-anchored T1 by the dataset's real measured
-		// render cost relative to the jet at the same image size —
-		// content effects (early termination on dense data, sparse
-		// skips) are invisible to the geometric probe.
-		cost, err := c.measureRenderCost(name, 128)
+		// Scale the jet-anchored T1 by the samples a real render of the
+		// dataset takes relative to the jet (the first row) at the same
+		// image size — content effects (early termination on dense
+		// data, sparse skips) are invisible to the geometric probe, and
+		// a sample count, unlike a wall-clock ratio, repeats exactly.
+		samples, err := c.renderSamples(name, 128)
 		if err != nil {
 			return nil, err
 		}
-		w.T1Render = time.Duration(float64(w.T1Render) * cost.Seconds() / jetCost.Seconds())
+		if name == "jet" {
+			jetSamples = samples
+		}
+		w.T1Render = time.Duration(float64(w.T1Render) * float64(samples) / float64(jetSamples))
 		r, err := sim.Run(sim.Config{Machine: m, Work: w, P: 64, L: 4})
 		if err != nil {
 			return nil, err
@@ -134,9 +135,9 @@ func (c *Context) Datasets() (*DatasetsResult, error) {
 	return res, nil
 }
 
-// measureRenderCost times a real render of the dataset's cached
-// volume at s x s (min of 2 runs).
-func (c *Context) measureRenderCost(name string, s int) (time.Duration, error) {
+// renderSamples counts the volume samples a real render of the
+// dataset's cached volume takes at s x s.
+func (c *Context) renderSamples(name string, s int) (int, error) {
 	v, err := c.volume(name)
 	if err != nil {
 		return 0, err
@@ -149,17 +150,8 @@ func (c *Context) measureRenderCost(name string, s int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < 2; i++ {
-		t0 := time.Now()
-		if _, _, err := render.Render(v, cam, tfn, render.DefaultOptions(), s, s); err != nil {
-			return 0, err
-		}
-		if el := time.Since(t0); el < best {
-			best = el
-		}
-	}
-	return best, nil
+	_, st, err := render.Render(v, cam, tfn, render.DefaultOptions(), s, s)
+	return st.Samples, err
 }
 
 // Row returns the row for a dataset (nil if absent).

@@ -113,11 +113,6 @@ type Options struct {
 	// step and scattering bricks — the paper's §7.1 parallel-I/O
 	// extension. Requires the store to implement volio.RegionStore.
 	RegionInput bool
-	// Accel builds a macrocell empty-space-skipping grid per brick
-	// before rendering (§7.1 "preprocessing ... can provide many
-	// hints to the renderer"). Output is unchanged; sparse data
-	// renders with fewer samples.
-	Accel bool
 	// Trace receives one span per stage (fetch, render, composite,
 	// deliver) per group and step, recorded at the group leader — the
 	// raw material of the paper's pipelining Gantt. Nil disables.
@@ -221,7 +216,9 @@ type Metrics struct {
 }
 
 // Sink receives completed frames. It is called from group-leader
-// goroutines; calls are serialized by the pipeline.
+// goroutines; calls are serialized by the pipeline and come in step
+// order, except that a frame more than one step time behind its
+// successor is overtaken and arrives late.
 type Sink func(*Frame) error
 
 // Run executes the pipelined renderer over the store and reports
@@ -237,7 +234,26 @@ func Run(store volio.Store, opt Options, sink Sink) (Metrics, error) {
 		diskMu sync.Mutex // the shared sequential input path
 		sinkMu sync.Mutex
 		done   = make([]time.Time, opt.Steps)
+		// Display order: a finished frame lets the steps before it reach
+		// the sink first, but waits for them no longer than its own step
+		// took — a group that is slow, stalled or dead delays the others
+		// by one step time at most (then its frame goes out late, out of
+		// order), so no leader ever sits out a peer's StepTimeout.
+		// turnMu guards next and skipped.
+		turnMu  sync.Mutex
+		turn    = sync.NewCond(&turnMu)
+		next    int                       // lowest step that has neither taken its turn nor been passed over
+		skipped = make([]bool, opt.Steps) // failed steps no frame will come from
 	)
+	// passTurn moves next beyond step and the failed steps that follow
+	// it. The caller holds turnMu.
+	passTurn := func(step int) {
+		next = max(next, step+1)
+		for next < opt.Steps && skipped[next] {
+			next++
+		}
+		turn.Broadcast()
+	}
 	if opt.OnTile != nil {
 		// Serialize the tile stream across groups (owners in different
 		// groups emit concurrently), mirroring the sink serialization:
@@ -275,6 +291,12 @@ func Run(store volio.Store, opt Options, sink Sink) (Metrics, error) {
 		deadGroups  = map[int]bool{}
 	)
 	recordFailure := func(gid, step int, cause error) {
+		turnMu.Lock()
+		skipped[step] = true
+		if step == next {
+			passTurn(step)
+		}
+		turnMu.Unlock()
 		failMu.Lock()
 		defer failMu.Unlock()
 		if !deadGroups[gid] {
@@ -313,7 +335,25 @@ func Run(store volio.Store, opt Options, sink Sink) (Metrics, error) {
 			err := renderStepGuarded(gc, store, &opt, dims, gid, s, &diskMu, func(f *Frame) error {
 				end := opt.Trace.Begin(groupTrack(f.Group), "pipeline", "deliver", "step", f.Step)
 				t0 := time.Now()
+				turnMu.Lock()
+				if next < s {
+					overdue := false
+					patience := time.AfterFunc(f.InputTime+f.RenderTime+f.CompositeTime, func() {
+						turnMu.Lock()
+						overdue = true
+						turnMu.Unlock()
+						turn.Broadcast()
+					})
+					for next < s && !overdue {
+						turn.Wait()
+					}
+					patience.Stop()
+				}
+				passTurn(s)
+				// Queue for the sink before giving up turnMu, so frames
+				// reach it in the order they took their turns.
 				sinkMu.Lock()
+				turnMu.Unlock()
 				defer sinkMu.Unlock()
 				done[s] = time.Now()
 				var err error
@@ -589,7 +629,11 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 	endRender := span("render")
 	t1 := time.Now()
 	ropt := opt.Render
-	if opt.Accel {
+	if ropt.Mode == render.ModeOver {
+		// §7.1 "preprocessing ... can provide many hints to the
+		// renderer": a macrocell grid per brick lets the caster leap
+		// transparent space with bit-identical output. MIP has no use
+		// for it.
 		grid, err := accel.Build(work.brick.Data, work.brick.Origin, work.brick.Normalize, 0)
 		if err != nil {
 			return err

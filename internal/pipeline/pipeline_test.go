@@ -8,7 +8,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/comm"
+	"repro/internal/composite"
 	"repro/internal/datagen"
 	"repro/internal/img"
 	"repro/internal/render"
@@ -373,31 +376,110 @@ func (p plainStore) Dims() vol.Dims                   { return p.s.Dims() }
 func (p plainStore) Steps() int                       { return p.s.Steps() }
 func (p plainStore) Fetch(t int) (*vol.Volume, error) { return p.s.Fetch(t) }
 
-// Accelerated pipelined rendering must match the unaccelerated result.
+// The pipeline always renders through a per-brick macrocell grid. Its
+// frames must equal, float for float, what the grid-less ray caster
+// produces for the same bricks put through binary-swap and the final
+// gather by hand — under either compositor.
 func TestAccelPipelineMatches(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	run := func(accel bool) *img.RGBA {
-		store := testStore(1)
-		opt := baseOptions(4, 1)
-		opt.Accel = accel
-		opt.Render.TerminationAlpha = 1
-		var out *img.RGBA
-		var mu sync.Mutex
-		if _, err := Run(store, opt, func(f *Frame) error {
-			mu.Lock()
-			out = f.Image
-			mu.Unlock()
+	const g = 4
+	opt := baseOptions(g, 1)
+	opt.Render = render.DefaultOptions()
+	opt.Render.TerminationAlpha = 1
+
+	store := testStore(1)
+	v, err := store.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxes, err := vol.SplitKD(v.Dims, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The default camera Run uses when CameraFn is nil.
+	cam, err := render.NewOrbitCamera(v.Dims, 0.6, 0.35, 1.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *img.RGBA
+	if err := comm.Run(g, func(c *comm.Comm) error {
+		br, err := v.Extract(boxes[c.Rank()], 2)
+		if err != nil {
+			return err
+		}
+		partial, _, err := render.RenderBrick(br, cam, opt.TF, opt.Render, opt.ImageW, opt.ImageH)
+		if err != nil {
+			return err
+		}
+		reg, piece, err := composite.BinarySwap(c, partial, boxes, cam.Eye, 0)
+		if err != nil {
+			return err
+		}
+		full, err := composite.FinalGather(c, reg, piece, opt.ImageW, opt.ImageH, 0, 0)
+		if c.Rank() == 0 {
+			want = full
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, compositor := range []Compositor{CompositorBinarySwap, CompositorDFB} {
+		opt.Compositor = compositor
+		got := runFrames(t, 1, opt)[0].Image
+		for i := range want.Pix {
+			if got.Pix[i] != want.Pix[i] {
+				t.Fatalf("compositor %d: pixel float %d: pipeline %v != grid-less reference %v",
+					compositor, i, got.Pix[i], want.Pix[i])
+			}
+		}
+	}
+}
+
+// slowStore adds a fixed delay to every whole-step fetch.
+type slowStore struct {
+	volio.Store
+	delay time.Duration
+}
+
+func (s slowStore) Fetch(t int) (*vol.Volume, error) {
+	time.Sleep(s.delay)
+	return s.Store.Fetch(t)
+}
+
+// A group that finishes its step ahead of the step before it lets that
+// one reach the sink first — but only for about as long as its own step
+// took: a group further behind than that is overtaken, not waited for.
+func TestFramesDeliveredInStepOrder(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const fetch = 100 * time.Millisecond
+	// Group 0 fetches step 0 first (group 1 is held back a moment), so
+	// group 1's step 1 is ready one fetch after step 0's data is; a
+	// straggler in group 0 then makes step 0 late by lag - 2*fetch.
+	run := func(lag time.Duration) []int {
+		opt := baseOptions(4, 2)
+		opt.FaultFn = func(gid, rank, step int) error {
+			switch {
+			case gid == 1:
+				time.Sleep(fetch / 10)
+			case rank == 1:
+				time.Sleep(lag)
+			}
+			return nil
+		}
+		var order []int
+		if _, err := Run(slowStore{testStore(2), fetch}, opt, func(f *Frame) error {
+			order = append(order, f.Step)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return order
 	}
-	a := run(false)
-	b := run(true)
-	for i := range a.Pix {
-		if a.Pix[i] != b.Pix[i] {
-			t.Fatalf("accelerated pipeline differs at %d", i)
-		}
+	if got := run(fetch * 5 / 2); len(got) != 2 || got[0] != 0 {
+		t.Errorf("step 0 half a step late: sink order %v, want [0 1]", got)
+	}
+	if got := run(fetch * 6); len(got) != 2 || got[0] != 1 {
+		t.Errorf("step 0 four steps late: sink order %v, want [1 0]", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/img"
 	"repro/internal/vol"
 )
 
@@ -119,6 +120,45 @@ func (c *Camera) Ray(px, py, w, h int) (orig, dir Vec3) {
 	ny := (1 - 2*(float64(py)+0.5)/float64(h)) * tanF
 	d := c.fwd.Add(c.right.Scale(nx)).Add(c.upv.Scale(ny)).Normalized()
 	return c.Eye, d
+}
+
+// screenRect returns a pixel rectangle of a w x h image containing
+// every pixel whose ray (see Ray) can hit box b: the bounding rectangle
+// of the eight projected corners, grown by a pixel against rounding. A
+// box reaching the eye plane or behind it has no bounded projection and
+// yields the whole image.
+func (c *Camera) screenRect(b vol.Box, w, h int) img.Region {
+	tanF := math.Tan(c.FovY / 2)
+	aspect := float64(w) / float64(h)
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for i := 0; i < 8; i++ {
+		p := Vec3{float64(b.X0), float64(b.Y0), float64(b.Z0)}
+		if i&1 != 0 {
+			p.X = float64(b.X1)
+		}
+		if i&2 != 0 {
+			p.Y = float64(b.Y1)
+		}
+		if i&4 != 0 {
+			p.Z = float64(b.Z1)
+		}
+		v := p.Sub(c.Eye)
+		depth := v.Dot(c.fwd)
+		if depth <= 0 {
+			return img.Region{X1: w, Y1: h}
+		}
+		// Invert Ray's pixel-center mapping.
+		fx := (v.Dot(c.right)/(depth*tanF*aspect)+1)*float64(w)/2 - 0.5
+		fy := (1-v.Dot(c.upv)/(depth*tanF))*float64(h)/2 - 0.5
+		minX, maxX = math.Min(minX, fx), math.Max(maxX, fx)
+		minY, maxY = math.Min(minY, fy), math.Max(maxY, fy)
+	}
+	clamp := func(f float64, n int) int { return int(max(0, min(f, float64(n)))) }
+	return img.Region{
+		X0: clamp(math.Floor(minX)-1, w), Y0: clamp(math.Floor(minY)-1, h),
+		X1: clamp(math.Ceil(maxX)+2, w), Y1: clamp(math.Ceil(maxY)+2, h),
+	}
 }
 
 // IntersectBox computes the parametric entry/exit of ray

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/datagen"
 	"repro/internal/img"
 	"repro/internal/tf"
@@ -65,5 +66,46 @@ func BenchmarkRenderPooledFrame(b *testing.B) {
 		}
 		f := dst.ToFrameInto(img.GetFrameRaw(size, size), 0)
 		img.PutFrame(f)
+	}
+}
+
+// BenchmarkRenderBrickGrid renders one rank's brick of the sparse jet
+// the way the pipeline does — grid built per brick, clip and screen
+// rectangle applied — against the grid-less caster on the same brick.
+func BenchmarkRenderBrickGrid(b *testing.B) {
+	v := testVolumeB(b)
+	cam, err := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	boxes, err := vol.SplitKD(v.Dims, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	br, err := v.Extract(boxes[0], 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid, err := accel.Build(br.Data, br.Origin, br.Normalize, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const size = 256
+	for _, useGrid := range []bool{false, true} {
+		b.Run(fmt.Sprintf("grid=%v", useGrid), func(b *testing.B) {
+			opt := DefaultOptions()
+			opt.Workers = 1
+			if useGrid {
+				opt.Accel = grid
+			}
+			dst := img.NewRGBA(size, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RenderRegion(br, br.Region, cam, tf.Jet(), opt, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"repro/internal/accel"
+	"repro/internal/datagen"
 	"repro/internal/img"
 	"repro/internal/tf"
+	"repro/internal/vol"
 )
 
 // The tentpole invariant of the multicore engine: the parallel tile
@@ -75,6 +77,225 @@ func TestParallelGoldenIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Empty-space leaping — per-sample cell skipping, the active-box clip
+// and its screen rectangle — must leave every pixel float exactly what
+// the grid-less serial caster writes: over orbit views, a camera
+// inside the volume (a clip corner behind the eye forces the
+// whole-image fallback), ghosted bricks whose grid is larger than the
+// region, shading, worker counts, a pixel mask and the TileDone hook.
+func TestAccelGoldenIdentical(t *testing.T) {
+	v := testVolume(t)
+	inside := &Camera{
+		Eye:    Vec3{float64(v.Dims.NX) * 0.3, float64(v.Dims.NY) * 0.4, float64(v.Dims.NZ) * 0.5},
+		Center: Vec3{float64(v.Dims.NX), float64(v.Dims.NY) * 0.6, float64(v.Dims.NZ) * 0.4},
+		Up:     Vec3{0, 0, 1}, FovY: 1.2,
+	}
+	if err := inside.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	cams := map[string]*Camera{"inside": inside}
+	for _, view := range [][2]float64{{0.6, 0.35}, {2.1, -0.4}, {3.9, 1.1}, {5.3, 0}} {
+		cam, err := NewOrbitCamera(v.Dims, view[0], view[1], 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cams[fmt.Sprintf("orbit=%v,%v", view[0], view[1])] = cam
+	}
+	boxes, err := vol.SplitKD(v.Dims, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type target struct {
+		s      Sampler
+		region vol.Box
+		grid   *accel.Grid
+	}
+	whole, err := accel.Build(v, [3]int{}, v.Normalize, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]target{"whole": {WholeVolume(v), v.Bounds(), whole}}
+	for i, b := range boxes {
+		br := mustBrick(t, v, b)
+		g, err := accel.Build(br.Data, br.Origin, br.Normalize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets[fmt.Sprintf("brick%d", i)] = target{br, br.Region, g}
+	}
+	const W, H = 48, 40
+	mask := make([]bool, W*H)
+	for i := range mask {
+		mask[i] = i%5 != 0
+	}
+	for camName, cam := range cams {
+		for tgtName, tgt := range targets {
+			for _, shading := range []bool{false, true} {
+				for _, useMask := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%s/shading=%v/mask=%v", camName, tgtName, shading, useMask), func(t *testing.T) {
+						opt := DefaultOptions()
+						opt.Shading = shading
+						opt.Workers = 1
+						if useMask {
+							opt.PixelMask = mask
+						}
+						ref := img.NewRGBA(W, H)
+						refSt, err := RenderRegion(tgt.s, tgt.region, cam, tf.Jet(), opt, ref)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opt.Accel = tgt.grid
+						for _, workers := range []int{1, 2, 8} {
+							for _, hook := range []bool{false, true} {
+								opt.Workers = workers
+								var mu sync.Mutex
+								seen := make([]int, H)
+								opt.TileDone = nil
+								if hook {
+									opt.TileDone = func(y0, y1 int) {
+										mu.Lock()
+										defer mu.Unlock()
+										for y := y0; y < y1; y++ {
+											seen[y]++
+										}
+									}
+								}
+								got := img.NewRGBA(W, H)
+								st, err := RenderRegion(tgt.s, tgt.region, cam, tf.Jet(), opt, got)
+								if err != nil {
+									t.Fatal(err)
+								}
+								for i := range ref.Pix {
+									if got.Pix[i] != ref.Pix[i] {
+										t.Fatalf("workers=%d hook=%v: pixel float %d differs: %v vs %v", workers, hook, i, got.Pix[i], ref.Pix[i])
+									}
+								}
+								if st.Pixels != refSt.Pixels || st.Samples > refSt.Samples || st.Rays > refSt.Rays {
+									t.Fatalf("workers=%d hook=%v: stats %+v against grid-less %+v", workers, hook, st, refSt)
+								}
+								for y, n := range seen {
+									if hook && n != 1 {
+										t.Fatalf("workers=%d: row %d reported done %d times", workers, y, n)
+									}
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// A brick the transfer function leaves wholly transparent casts no ray
+// and writes no pixel, yet still reports every scanline band exactly
+// once — the DFB compositor counts on the bands to release its tiles.
+func TestAccelAllEmptyBrick(t *testing.T) {
+	v := vol.MustNew(vol.Dims{NX: 20, NY: 24, NZ: 17})
+	grid, err := accel.Build(v, [3]int{}, v.Normalize, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, err := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const W, H = 32, 33
+	for _, workers := range []int{1, 2, 8} {
+		opt := DefaultOptions()
+		opt.Accel = grid
+		opt.Workers = workers
+		var mu sync.Mutex
+		seen := make([]int, H)
+		opt.TileDone = func(y0, y1 int) {
+			mu.Lock()
+			defer mu.Unlock()
+			for y := y0; y < y1; y++ {
+				seen[y]++
+			}
+		}
+		dst := img.NewRGBA(W, H)
+		for i := range dst.Pix {
+			dst.Pix[i] = 0.25
+		}
+		st, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), opt, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != (Stats{}) {
+			t.Fatalf("workers=%d: all-empty brick did work: %+v", workers, st)
+		}
+		for y, n := range seen {
+			if n != 1 {
+				t.Fatalf("workers=%d: row %d reported done %d times", workers, y, n)
+			}
+		}
+		for i, p := range dst.Pix {
+			if p != 0.25 {
+				t.Fatalf("workers=%d: dst float %d touched: %v", workers, i, p)
+			}
+		}
+	}
+}
+
+// Dense data — no macrocell the transfer function leaves transparent —
+// drops the grid and runs the plain loop: identical work counts, not
+// just identical pixels.
+func TestAccelDroppedOnDenseVolume(t *testing.T) {
+	v, err := datagen.NewVortexScaled(0.25, 2).Step(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := accel.Build(v, [3]int{}, v.Normalize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, empty := range grid.EmptyMask(tf.Vortex().MaxAlpha) {
+		if empty {
+			t.Fatal("test volume is not dense under tf.Vortex")
+		}
+	}
+	cam, err := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	ref, refSt, err := Render(v, cam, tf.Vortex(), opt, 48, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Accel = grid
+	got, st, err := Render(v, cam, tf.Vortex(), opt, 48, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != refSt || st.Skipped != 0 {
+		t.Fatalf("dense volume stats %+v, grid-less %+v", st, refSt)
+	}
+	for i := range ref.Pix {
+		if got.Pix[i] != ref.Pix[i] {
+			t.Fatalf("pixel float %d differs", i)
+		}
+	}
+}
+
+// A grid that does not cover the region would let the clip drop
+// samples the grid knows nothing about; it is rejected instead.
+func TestAccelMustCoverRegion(t *testing.T) {
+	v := testVolume(t)
+	br := mustBrick(t, v, vol.Box{X1: v.Dims.NX / 2, Y1: v.Dims.NY, Z1: v.Dims.NZ})
+	grid, err := accel.Build(br.Data, br.Origin, br.Normalize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, _ := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)
+	opt := DefaultOptions()
+	opt.Accel = grid
+	if _, _, err := Render(v, cam, tf.Jet(), opt, 16, 16); err == nil {
+		t.Fatal("want error for a grid smaller than the region")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/accel"
 	"repro/internal/img"
@@ -52,10 +53,14 @@ type Options struct {
 	// Mode selects Over (default) or MIP compositing.
 	Mode Mode
 	// Accel, when set, skips macrocells the transfer function maps to
-	// zero opacity (empty-space leaping; ModeOver only). The grid
-	// must cover the rendered region in parent coordinates and use
-	// the same normalization. Skipping is conservative: accelerated
-	// output is identical.
+	// zero opacity (empty-space leaping; ModeOver only, MIP ignores
+	// it): rays are clipped to the bounding box of the non-empty cells,
+	// only that box's screen rectangle is cast, and empty cells inside
+	// it are leapt. The grid must cover the rendered region in parent
+	// coordinates and use the same normalization. Skipping is
+	// conservative: accelerated output is identical. A grid with no
+	// empty cell under the transfer function is dropped, so dense data
+	// runs the plain loop.
 	Accel *accel.Grid
 	// PixelMask, when set (length W*H), restricts rendering to the
 	// true pixels; the others are left untouched in dst. Used by
@@ -102,10 +107,15 @@ func (o *Options) normalize() error {
 // Stats reports the work a render call performed; the discrete-event
 // simulator uses these counts with calibrated per-unit costs.
 type Stats struct {
-	Rays    int // rays intersecting the brick
+	// Rays counts rays that hit the rendered box: the region, or with
+	// Options.Accel the part of it around the non-empty macrocells.
+	Rays    int
 	Samples int // volume samples taken
 	Pixels  int // pixels with nonzero contribution
-	Skipped int // samples avoided by empty-space leaping
+	// Skipped counts samples leapt over along those rays. Samples and
+	// rays the Accel clip removed outright are not counted — counting
+	// them would cost the per-pixel box test the clip exists to avoid.
+	Skipped int
 }
 
 // Sampler is the volume access a ray caster needs; both *vol.Brick
@@ -149,23 +159,21 @@ func RenderRegion(s Sampler, region vol.Box, cam *Camera, t *tf.TF, opt Options,
 	if opt.PixelMask != nil && len(opt.PixelMask) != dst.W*dst.H {
 		return Stats{}, fmt.Errorf("render: pixel mask of %d entries for %dx%d image", len(opt.PixelMask), dst.W, dst.H)
 	}
-	// Resolve the accelerator's per-cell transparency once for this
-	// (grid, transfer function) pair; the per-sample check is then a
-	// single indexed load.
-	var emptyCell []bool
-	if opt.Accel != nil {
-		emptyCell = opt.Accel.EmptyMask(t.MaxAlpha)
-	}
 	rr := &rowRenderer{
 		s:         s,
-		region:    region,
+		box:       region,
+		rect:      img.Region{X1: dst.W, Y1: dst.H},
 		cam:       cam,
 		opt:       &opt,
 		lut:       t.LUT(),
-		emptyCell: emptyCell,
 		light:     opt.Light.Normalized(),
 		headlight: opt.Light == (Vec3{}),
 		dst:       dst,
+	}
+	if opt.Accel != nil && opt.Mode == ModeOver {
+		if err := rr.useGrid(region, t); err != nil {
+			return Stats{}, err
+		}
 	}
 	if opt.Workers > 1 && dst.H > 1 {
 		return renderTiled(rr, opt.Workers), nil
@@ -196,10 +204,15 @@ func RenderRegion(s Sampler, region vol.Box, cam *Camera, t *tf.TF, opt Options,
 // queue. All fields are read-only during rendering; dst is shared but
 // each pixel is written by exactly one renderRows call.
 type rowRenderer struct {
-	s      Sampler
-	region vol.Box
-	cam    *Camera
-	opt    *Options
+	s Sampler
+	// box is what rays are intersected with and rect the pixels whose
+	// rays can hit it: the region and the whole image, or with an accel
+	// grid the region clipped to the non-empty cells and that clip's
+	// screen bounding rectangle (both empty when no cell is active).
+	box  vol.Box
+	rect img.Region
+	cam  *Camera
+	opt  *Options
 	// lut is the transfer function's baked classification table,
 	// indexed directly so the inner sampling loop is a flat load
 	// instead of a method call (see tf.LUT — identical arithmetic to
@@ -209,6 +222,41 @@ type rowRenderer struct {
 	light     Vec3
 	headlight bool
 	dst       *img.RGBA
+}
+
+// useGrid resolves opt.Accel against the transfer function: the
+// per-cell transparency mask for leaping, and the clip box and screen
+// rectangle that bound the rays worth casting. A grid with no empty
+// cell is left unused.
+func (rr *rowRenderer) useGrid(region vol.Box, t *tf.TF) error {
+	g := rr.opt.Accel
+	if cover := g.Bounds(); cover.Intersect(region) != region {
+		return fmt.Errorf("render: accel grid %v does not cover region %v", cover, region)
+	}
+	// Computed once per (grid, transfer function) pair; the per-sample
+	// check is then a single indexed load.
+	mask := g.EmptyMask(t.MaxAlpha)
+	if !slices.Contains(mask, true) {
+		// Dense data: nothing to leap or clip, so skip the per-sample
+		// cell lookups too.
+		return nil
+	}
+	rr.emptyCell = mask
+	// Everything outside the hull of the non-empty cells is transparent.
+	// The one-point pad keeps a sample that rounding puts on a clip face
+	// well inside an empty cell, so dropping it decides exactly what the
+	// per-sample cell test would. No active cell: cast nothing.
+	rr.box, rr.rect = vol.Box{}, img.Region{}
+	if active, ok := g.ActiveBox(mask); ok {
+		rr.box = vol.Box{
+			X0: active.X0 - 1, Y0: active.Y0 - 1, Z0: active.Z0 - 1,
+			X1: active.X1 + 1, Y1: active.Y1 + 1, Z1: active.Z1 + 1,
+		}.Intersect(region)
+	}
+	if !rr.box.Empty() {
+		rr.rect = rr.cam.screenRect(rr.box, rr.dst.W, rr.dst.H)
+	}
+	return nil
 }
 
 // lutScale converts a clamped normalized value to a LUT index.
@@ -234,13 +282,13 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 	w, h := dst.W, dst.H
 	termA := opt.TerminationAlpha
 	emptyCell := rr.emptyCell
-	for py := y0; py < y1; py++ {
-		for px := 0; px < w; px++ {
+	for py := max(y0, rr.rect.Y0); py < min(y1, rr.rect.Y1); py++ {
+		for px := rr.rect.X0; px < rr.rect.X1; px++ {
 			if opt.PixelMask != nil && !opt.PixelMask[py*w+px] {
 				continue
 			}
 			orig, dir := cam.Ray(px, py, w, h)
-			tn, tfar, ok := IntersectBox(orig, dir, rr.region)
+			tn, tfar, ok := IntersectBox(orig, dir, rr.box)
 			if !ok || tfar <= tn {
 				continue
 			}

@@ -176,6 +176,10 @@ func (r *Reader) ReadStep(t int) (*vol.Volume, error) {
 	return v, nil
 }
 
+// readChunk is the byte size of the buffer ReadStepInto decodes a step
+// through.
+const readChunk = 64 << 10
+
 // ReadStepInto reads time step t into an existing volume, avoiding
 // allocation in steady-state pipelines.
 func (r *Reader) ReadStepInto(t int, v *vol.Volume) error {
@@ -187,15 +191,22 @@ func (r *Reader) ReadStepInto(t int, v *vol.Volume) error {
 	}
 	start := time.Now()
 	off := int64(headerSize) + int64(t)*r.hdr.StepBytes()
-	buf := make([]byte, r.hdr.StepBytes())
-	if _, err := r.f.ReadAt(buf, off); err != nil {
-		return fmt.Errorf("volio: reading step %d: %w", t, err)
-	}
-	for i := range v.Data {
-		v.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
+	// Decode through a small fixed chunk: a whole-step byte slab would
+	// be live together with the equally large volume it fills.
+	buf := make([]byte, readChunk)
+	for data := v.Data; len(data) > 0; {
+		n := min(len(data), readChunk/4)
+		if _, err := r.f.ReadAt(buf[:n*4], off); err != nil {
+			return fmt.Errorf("volio: reading step %d: %w", t, err)
+		}
+		for i := range data[:n] {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
+		}
+		data = data[n:]
+		off += int64(n) * 4
 	}
 	v.Min, v.Max = r.hdr.Min, r.hdr.Max
-	r.throttle(len(buf), start)
+	r.throttle(int(r.hdr.StepBytes()), start)
 	return nil
 }
 

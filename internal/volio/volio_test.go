@@ -49,6 +49,47 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// A step larger than ReadStepInto's decode chunk, and not a multiple of
+// it, must come back voxel for voxel from the right file offset.
+func TestReadStepSpansChunks(t *testing.T) {
+	d := vol.Dims{NX: 41, NY: 37, NZ: 29}
+	if d.Bytes() <= 2*readChunk || d.Bytes()%readChunk == 0 {
+		t.Fatalf("step of %d bytes does not straddle %d-byte chunks", d.Bytes(), readChunk)
+	}
+	path := filepath.Join(t.TempDir(), "big.tvv")
+	w, err := Create(path, Header{Dims: d, Steps: 2, Min: 0, Max: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*vol.Volume, 2)
+	for s := range want {
+		want[s] = vol.MustNew(d)
+		want[s].Fill(func(x, y, z int) float32 { return float32((x+41*(y+37*z))*2+s) / float32(4*d.Count()) })
+		if err := w.WriteStep(want[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for s := 1; s >= 0; s-- {
+		got, err := r.ReadStep(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want[s].Data {
+			if got.Data[i] != want[s].Data[i] {
+				t.Fatalf("step %d voxel %d: %v != %v", s, i, got.Data[i], want[s].Data[i])
+			}
+		}
+	}
+}
+
 func TestHeaderRangeCoversSteps(t *testing.T) {
 	path, _ := writeTestDataset(t, 4)
 	r, err := Open(path)
