@@ -1,11 +1,15 @@
 package codecs
 
 import (
+	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/compress/jpegc"
+	"repro/internal/compress/lzo"
 	"repro/internal/fault"
 	"repro/internal/img"
 )
@@ -100,6 +104,31 @@ func TestNewCodecsDecodeAllocBounded(t *testing.T) {
 	progHdr := []byte{'P', 'G', 'F', '1', 0xff, 0x7f, 0xff, 0x7f, 4, 5, 0, 0}
 	if _, err := decodeByName(t, "prog", progHdr); err == nil {
 		t.Fatal("prog accepted a 32767x32767 header")
+	}
+	// jpeg: a real 32x32 stream whose SOF is patched to 65535x65535 —
+	// 6.4 GB of planes if the header is believed before the scan is
+	// looked at.
+	jpg, err := jpegc.Encode(renderedStyleFrame(32), 75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sof := bytes.Index(jpg, []byte{0xff, 0xc0})
+	copy(jpg[sof+5:], []byte{0xff, 0xff, 0xff, 0xff})
+	packed, err := lzo.Codec{}.Compress(jpg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"jpeg": jpg, "jpeg+lzo": packed} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeByName(t, name, data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a 65535x65535 header over a 32x32 scan", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s allocated %d bytes before rejecting the header", name, grew)
+		}
 	}
 }
 

@@ -6,8 +6,6 @@ import "repro/internal/img"
 type Codec struct {
 	// Quality in 1..100; 0 means the default of 75.
 	Quality int
-	// FastIDCT selects the fast, lower-precision decode path.
-	FastIDCT bool
 }
 
 // Name implements compress.FrameCodec.
@@ -26,6 +24,6 @@ func (c Codec) EncodeFrame(f *img.Frame) ([]byte, error) {
 }
 
 // DecodeFrame implements compress.FrameCodec.
-func (c Codec) DecodeFrame(data []byte) (*img.Frame, error) {
-	return Decode(data, DecodeOptions{FastIDCT: c.FastIDCT})
+func (Codec) DecodeFrame(data []byte) (*img.Frame, error) {
+	return Decode(data)
 }

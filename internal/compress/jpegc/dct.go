@@ -3,8 +3,7 @@ package jpegc
 import "math"
 
 // cosTab[u][x] = c(u) * cos((2x+1) u pi / 16) / 2, the orthonormal
-// DCT-II basis used by both the forward transform and the accurate
-// inverse.
+// DCT-II basis used by both the forward transform and the inverse.
 var cosTab [8][8]float64
 
 func init() {
@@ -45,97 +44,46 @@ func fdct2d(b *[64]float64) {
 	}
 }
 
-// idct2dAccurate computes the accurate float inverse DCT: coefficients
-// in, spatial samples out.
-func idct2dAccurate(b *[64]float64) {
+// idct2dSparse computes the float inverse DCT of a block whose
+// non-zero coefficients all lie in the columns named by colMask (bit u
+// set for column u): coefficients in, spatial samples out. It is the
+// plain separable sum over all 64 terms with the terms that cannot
+// change it left out. A zero coefficient contributes c*0 = ±0, and
+// s + ±0 == s for every s (a sum that starts at +0 stays +0 until its
+// first non-zero term), so each retained sum adds the same values in
+// the same order as the full one and rounds identically.
+func idct2dSparse(b *[64]float64, colMask uint8) {
 	var tmp [64]float64
+	var cols [8]int
+	n := 0
 	// Columns.
 	for u := 0; u < 8; u++ {
-		for y := 0; y < 8; y++ {
-			var s float64
-			for v := 0; v < 8; v++ {
-				s += cosTab[v][y] * b[v*8+u]
+		if colMask&(1<<u) == 0 {
+			continue
+		}
+		cols[n] = u
+		n++
+		for v := 0; v < 8; v++ {
+			c := b[v*8+u]
+			if c == 0 {
+				continue
 			}
-			tmp[y*8+u] = s
+			basis := &cosTab[v]
+			for y := 0; y < 8; y++ {
+				tmp[y*8+u] += basis[y] * c
+			}
 		}
 	}
 	// Rows.
 	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			var s float64
-			for u := 0; u < 8; u++ {
-				s += cosTab[u][x] * tmp[y*8+u]
-			}
-			b[y*8+x] = s
-		}
-	}
-}
-
-// Fixed-point inverse DCT for the fast decode path: the same separable
-// structure with the basis quantized to 10 fractional bits and integer
-// arithmetic throughout. It is measurably faster and slightly less
-// accurate — the paper's decode-speed knob.
-const fixBits = 10
-
-var cosFix [8][8]int32
-
-func init() {
-	for u := 0; u < 8; u++ {
-		for x := 0; x < 8; x++ {
-			cosFix[u][x] = int32(math.Round(cosTab[u][x] * (1 << fixBits)))
-		}
-	}
-}
-
-// idct2dFast computes an approximate inverse DCT on int32
-// coefficients; the result is spatial samples (still level-shifted).
-// Beyond the fixed-point arithmetic it skips all-zero coefficient
-// columns and short-circuits DC-only blocks — the dominant case in
-// the dark backgrounds of rendered volume images and the main source
-// of the fast path's speedup.
-func idct2dFast(b *[64]int32) {
-	// DC-only block: constant output.
-	dcOnly := true
-	for i := 1; i < 64; i++ {
-		if b[i] != 0 {
-			dcOnly = false
-			break
-		}
-	}
-	if dcOnly {
-		v := int32((int64(cosFix[0][0]) * int64(cosFix[0][0]) * int64(b[0])) >> (2 * fixBits))
-		for i := range b {
-			b[i] = v
-		}
-		return
-	}
-	var tmp [64]int32
-	for u := 0; u < 8; u++ {
-		allZero := true
-		for v := 0; v < 8; v++ {
-			if b[v*8+u] != 0 {
-				allZero = false
-				break
+		var out [8]float64
+		for _, u := range cols[:n] {
+			t := tmp[y*8+u]
+			basis := &cosTab[u]
+			for x := range out {
+				out[x] += basis[x] * t
 			}
 		}
-		if allZero {
-			continue // tmp column already zero
-		}
-		for y := 0; y < 8; y++ {
-			var s int64
-			for v := 0; v < 8; v++ {
-				s += int64(cosFix[v][y]) * int64(b[v*8+u])
-			}
-			tmp[y*8+u] = int32(s >> fixBits)
-		}
-	}
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			var s int64
-			for u := 0; u < 8; u++ {
-				s += int64(cosFix[u][x]) * int64(tmp[y*8+u])
-			}
-			b[y*8+x] = int32(s >> fixBits)
-		}
+		copy(b[y*8:y*8+8], out[:])
 	}
 }

@@ -94,34 +94,6 @@ func TestDCTDCCoefficient(t *testing.T) {
 	}
 }
 
-func TestFastIDCTApproximatesAccurate(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var worst float64
-	for trial := 0; trial < 30; trial++ {
-		var f [64]float64
-		var i32 [64]int32
-		for i := range f {
-			v := int32(rng.Intn(400) - 200)
-			f[i] = float64(v)
-			i32[i] = v
-		}
-		idct2dAccurate(&f)
-		idct2dFast(&i32)
-		for i := range f {
-			d := math.Abs(f[i] - float64(i32[i]))
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	if worst > 4 {
-		t.Fatalf("fast IDCT deviates by %v levels", worst)
-	}
-	if worst == 0 {
-		t.Fatal("fast IDCT identical to accurate — not an approximation")
-	}
-}
-
 func TestMagnitudeCoding(t *testing.T) {
 	cases := []struct {
 		v    int
@@ -168,7 +140,7 @@ func TestEncodeDecodeSelf(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", sz, err)
 		}
-		got, err := Decode(data, DecodeOptions{})
+		got, err := Decode(data)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", sz, err)
 		}
@@ -200,7 +172,7 @@ func TestQualityMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(data, DecodeOptions{})
+		got, err := Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +213,7 @@ func TestWeDecodeStdlibOutput(t *testing.T) {
 	if err := jpeg.Encode(&buf, f.ToImage(), &jpeg.Options{Quality: 85}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(buf.Bytes(), DecodeOptions{})
+	got, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatalf("we rejected stdlib JPEG: %v", err)
 	}
@@ -258,7 +230,7 @@ func TestDecodersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ours, err := Decode(data, DecodeOptions{})
+	ours, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +255,7 @@ func TestGrayscaleDecode(t *testing.T) {
 	if err := jpeg.Encode(&buf, gray, &jpeg.Options{Quality: 90}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(buf.Bytes(), DecodeOptions{})
+	got, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatalf("grayscale decode: %v", err)
 	}
@@ -293,26 +265,6 @@ func TestGrayscaleDecode(t *testing.T) {
 	r, g, b := got.At(20, 15)
 	if r != g || g != b {
 		t.Fatal("grayscale decoded to non-gray pixel")
-	}
-}
-
-func TestFastIDCTDecode(t *testing.T) {
-	f := testFrame(64, 64)
-	data, err := Encode(f, 85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accurate, err := Decode(data, DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Decode(data, DecodeOptions{FastIDCT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fast path must stay visually close to the accurate path.
-	if p := framePSNR(t, accurate, fast); p < 35 {
-		t.Fatalf("fast IDCT PSNR vs accurate: %.1f dB", p)
 	}
 }
 
@@ -326,7 +278,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		bytes.Repeat([]byte{0xab}, 100),
 	}
 	for i, c := range cases {
-		if _, err := Decode(c, DecodeOptions{}); err == nil {
+		if _, err := Decode(c); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
@@ -336,7 +288,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(data[:len(data)/3], DecodeOptions{}); err == nil {
+	if _, err := Decode(data[:len(data)/3]); err == nil {
 		t.Error("truncated stream accepted")
 	}
 }
@@ -408,22 +360,7 @@ func BenchmarkDecodeAccurate256(b *testing.B) {
 	b.SetBytes(int64(len(f.Pix)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data, DecodeOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeFast256(b *testing.B) {
-	f := testFrame(256, 256)
-	data, err := Encode(f, 75)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(f.Pix)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data, DecodeOptions{FastIDCT: true}); err != nil {
+		if _, err := Decode(data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -436,7 +373,7 @@ func TestRestartIntervalSelfDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ri=%d: %v", ri, err)
 		}
-		got, err := Decode(data, DecodeOptions{})
+		got, err := Decode(data)
 		if err != nil {
 			t.Fatalf("ri=%d: decode: %v", ri, err)
 		}
@@ -444,7 +381,7 @@ func TestRestartIntervalSelfDecode(t *testing.T) {
 			t.Fatalf("ri=%d: PSNR %.1f", ri, p)
 		}
 		// The restart stream must be equivalent to the plain one.
-		plain, err := Decode(mustEncode(t, f, 85), DecodeOptions{})
+		plain, err := Decode(mustEncode(t, f, 85))
 		if err != nil {
 			t.Fatal(err)
 		}

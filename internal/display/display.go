@@ -326,7 +326,6 @@ type ViewerStats struct {
 	DecodeTime  time.Duration
 	FirstFrame  time.Time
 	LastFrame   time.Time
-	interArrive []time.Duration
 }
 
 // FPS returns the average displayed frame rate.
@@ -482,8 +481,6 @@ func (v *Viewer) loop() {
 		} else {
 			if v.stats.Frames == 0 {
 				v.stats.FirstFrame = now
-			} else {
-				v.stats.interArrive = append(v.stats.interArrive, now.Sub(v.stats.LastFrame))
 			}
 			v.stats.LastFrame = now
 			v.stats.Frames++
