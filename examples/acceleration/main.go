@@ -68,7 +68,11 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		grid, err := accel.Build(v, [3]int{0, 0, 0}, v.Normalize, 0)
+		whole, err := v.Extract(v.Bounds(), 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		grid, err := accel.Build(whole, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,6 +18,7 @@ package accel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/vol"
 )
@@ -33,29 +34,35 @@ type Grid struct {
 	Dims   vol.Dims
 
 	cell       int
-	nx, ny, nz int // macrocell counts
+	shift      uint // log2(cell)
+	nx, ny, nz int  // macrocell counts
 	// minv/maxv hold normalized value bounds per cell.
 	minv, maxv []float32
 }
 
-// Build constructs the grid for a volume. normalize maps raw values to
-// [0,1] and must be monotone non-decreasing (pass the volume's or
-// brick's Normalize); origin places the data in parent coordinates
-// (zero for whole volumes).
-func Build(v *vol.Volume, origin [3]int, normalize func(float32) float32, cellSize int) (*Grid, error) {
-	if cellSize <= 0 {
+// Build constructs the grid over brick b's view, ghost cells included,
+// in b's parent coordinates; b.Normalize maps the raw bounds to [0,1].
+// cellSize must be a power of two (0 selects DefaultCellSize), so a
+// position's cell is a shift away.
+func Build(b *vol.Brick, cellSize int) (*Grid, error) {
+	if cellSize == 0 {
 		cellSize = DefaultCellSize
 	}
-	if !v.Dims.Valid() {
-		return nil, fmt.Errorf("accel: invalid dims %v", v.Dims)
+	if cellSize < 0 || cellSize&(cellSize-1) != 0 {
+		return nil, fmt.Errorf("accel: cell size %d is not a power of two", cellSize)
+	}
+	d := b.Dims
+	if !d.Valid() {
+		return nil, fmt.Errorf("accel: invalid dims %v", d)
 	}
 	g := &Grid{
-		Origin: origin,
-		Dims:   v.Dims,
+		Origin: b.Origin,
+		Dims:   d,
 		cell:   cellSize,
-		nx:     (v.Dims.NX + cellSize - 1) / cellSize,
-		ny:     (v.Dims.NY + cellSize - 1) / cellSize,
-		nz:     (v.Dims.NZ + cellSize - 1) / cellSize,
+		shift:  uint(bits.TrailingZeros(uint(cellSize))),
+		nx:     (d.NX + cellSize - 1) / cellSize,
+		ny:     (d.NY + cellSize - 1) / cellSize,
+		nz:     (d.NZ + cellSize - 1) / cellSize,
 	}
 	n := g.nx * g.ny * g.nz
 	g.minv = make([]float32, n)
@@ -65,7 +72,7 @@ func Build(v *vol.Volume, origin [3]int, normalize func(float32) float32, cellSi
 		g.minv[i] = posInf
 		g.maxv[i] = negInf
 	}
-	// One pass over the x-rows of the raw data. Cell c covers points
+	// One pass over the x-rows of the view. Cell c covers points
 	// [c*cellSize, (c+1)*cellSize] along each axis — its own points plus
 	// the one-point border trilinear interpolation reads beyond its high
 	// face — so a row reduces to one raw min/max per cell-x span, folded
@@ -74,24 +81,14 @@ func Build(v *vol.Volume, origin [3]int, normalize func(float32) float32, cellSi
 	// normalize(min raw) is exactly the min of the normalized values.
 	rowMin := make([]float32, g.nx)
 	rowMax := make([]float32, g.nx)
-	for z := 0; z < v.Dims.NZ; z++ {
+	for z := 0; z < d.NZ; z++ {
 		cz0, cz1 := cellRange(z, cellSize)
-		for y := 0; y < v.Dims.NY; y++ {
+		for y := 0; y < d.NY; y++ {
 			cy0, cy1 := cellRange(y, cellSize)
-			off := v.Index(0, y, z)
-			row := v.Data[off : off+v.Dims.NX]
+			row := b.Row(y, z)
 			for cx := range rowMin {
 				x0 := cx * cellSize
-				lo, hi := posInf, negInf
-				for _, val := range row[x0:min(x0+cellSize+1, len(row))] {
-					if val < lo {
-						lo = val
-					}
-					if val > hi {
-						hi = val
-					}
-				}
-				rowMin[cx], rowMax[cx] = lo, hi
+				rowMin[cx], rowMax[cx] = spanBounds(row[x0:min(x0+cellSize+1, len(row))])
 			}
 			for cz := cz0; cz <= cz1; cz++ {
 				for cy := cy0; cy <= cy1; cy++ {
@@ -113,11 +110,37 @@ func Build(v *vol.Volume, origin [3]int, normalize func(float32) float32, cellSi
 		// A cell no comparable value touched keeps min > max, which
 		// EmptyMask reads as empty.
 		if g.minv[i] <= g.maxv[i] {
-			g.minv[i] = normalize(g.minv[i])
-			g.maxv[i] = normalize(g.maxv[i])
+			g.minv[i] = b.Normalize(g.minv[i])
+			g.maxv[i] = b.Normalize(g.maxv[i])
 		}
 	}
 	return g, nil
+}
+
+// spanBounds returns the min and max of the values, ignoring NaN: a NaN
+// never becomes a bound, and an all-NaN span returns (+Inf, -Inf). The
+// default cell's span — its 8 own points plus the border — reduces as a
+// branch-free tree of builtin min/max; those propagate NaN, so a span
+// holding one is re-scanned with comparisons that skip it.
+func spanBounds(vals []float32) (lo, hi float32) {
+	if len(vals) == DefaultCellSize+1 {
+		v := (*[DefaultCellSize + 1]float32)(vals)
+		lo = min(min(min(v[0], v[1]), min(v[2], v[3])), min(min(v[4], v[5]), min(v[6], v[7])), v[8])
+		hi = max(max(max(v[0], v[1]), max(v[2], v[3])), max(max(v[4], v[5]), max(v[6], v[7])), v[8])
+		if !math.IsNaN(float64(lo)) {
+			return lo, hi
+		}
+	}
+	lo, hi = float32(math.Inf(1)), float32(math.Inf(-1))
+	for _, val := range vals {
+		if val < lo {
+			lo = val
+		}
+		if val > hi {
+			hi = val
+		}
+	}
+	return lo, hi
 }
 
 // cellRange returns the cells whose interpolation support includes
@@ -159,9 +182,9 @@ func (g *Grid) CellAt(x, y, z float64) (int, bool) {
 	if x < float64(g.Origin[0]) || y < float64(g.Origin[1]) || z < float64(g.Origin[2]) {
 		return 0, false
 	}
-	cx := int(x-float64(g.Origin[0])) / g.cell
-	cy := int(y-float64(g.Origin[1])) / g.cell
-	cz := int(z-float64(g.Origin[2])) / g.cell
+	cx := int(x-float64(g.Origin[0])) >> g.shift
+	cy := int(y-float64(g.Origin[1])) >> g.shift
+	cz := int(z-float64(g.Origin[2])) >> g.shift
 	if cx >= g.nx || cy >= g.ny || cz >= g.nz {
 		return 0, false
 	}
@@ -227,12 +250,13 @@ func (g *Grid) CellExit(ox, oy, oz, dx, dy, dz, t float64) float64 {
 	py := oy + dy*t - float64(g.Origin[1])
 	pz := oz + dz*t - float64(g.Origin[2])
 	cs := float64(g.cell)
+	inv := 1 / cs // a power of two: p*inv is exactly p/cs
 	exit := math.Inf(1)
 	axis := func(p, d float64) float64 {
 		if d == 0 {
 			return math.Inf(1)
 		}
-		c := math.Floor(p / cs)
+		c := math.Floor(p * inv)
 		var bound float64
 		if d > 0 {
 			bound = (c + 1) * cs

@@ -560,7 +560,10 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 			tfn = opt.TFFn(step)
 		}
 		// Data input: fetch through the shared sequential path and
-		// distribute bricks to the group.
+		// distribute bricks to the group. Bricks are views: the group
+		// shares the fetched volume read-only until it has rendered the
+		// step, and each rank's message is still accounted at its
+		// ghosted brick's size.
 		endFetch := span("fetch")
 		t0 := time.Now()
 		diskMu.Lock()
@@ -574,7 +577,7 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 			if err != nil {
 				return err
 			}
-			gc.Send(i, tagWork.Tag(step, 0), stepWork{brick: b, cam: cam, tf: tfn}, int(b.Data.Dims.Bytes()))
+			gc.Send(i, tagWork.Tag(step, 0), stepWork{brick: b, cam: cam, tf: tfn}, int(b.Dims.Bytes()))
 		}
 		b, err := v.Extract(boxes[0], opt.Ghost)
 		if err != nil {
@@ -634,7 +637,7 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 		// renderer": a macrocell grid per brick lets the caster leap
 		// transparent space with bit-identical output. MIP has no use
 		// for it.
-		grid, err := accel.Build(work.brick.Data, work.brick.Origin, work.brick.Normalize, 0)
+		grid, err := accel.Build(work.brick, 0)
 		if err != nil {
 			return err
 		}
@@ -781,7 +784,7 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 }
 
 // fetchBrickRegion reads one node's ghosted brick straight from a
-// region-capable store.
+// region-capable store and views the fetched volume in place.
 func fetchBrickRegion(rs volio.RegionStore, step int, region vol.Box, ghost int, dims vol.Dims) (*vol.Brick, error) {
 	full := vol.Box{X1: dims.NX, Y1: dims.NY, Z1: dims.NZ}
 	region = region.Intersect(full)
@@ -793,14 +796,7 @@ func fetchBrickRegion(rs volio.RegionStore, step int, region vol.Box, ghost int,
 	if err != nil {
 		return nil, err
 	}
-	return &vol.Brick{
-		Region:     region,
-		Data:       sub,
-		Origin:     [3]int{g.X0, g.Y0, g.Z0},
-		ParentDims: dims,
-		ParentMin:  sub.Min,
-		ParentMax:  sub.Max,
-	}, nil
+	return sub.Place([3]int{g.X0, g.Y0, g.Z0}, region, dims)
 }
 
 func maxInt(a, b int) int {

@@ -195,7 +195,11 @@ func TestControlsFlowUpTree(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("control never reached the renderer through the tree")
 	}
-	if n := tree.Edges()[0].Stats().ControlsForwarded.Load(); n != 1 {
+	// The edge counts a control after its send to the parent returns,
+	// so the renderer can hold the control before the count moves.
+	forwarded := &tree.Edges()[0].Stats().ControlsForwarded
+	waitFor(t, 5*time.Second, "edge to count the forwarded control", func() bool { return forwarded.Load() >= 1 })
+	if n := forwarded.Load(); n != 1 {
 		t.Errorf("edge controls forwarded = %d, want 1", n)
 	}
 }

@@ -29,6 +29,7 @@ func BenchmarkRenderWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	wb := wholeBrick(b, v)
 	const size = 128
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -38,7 +39,7 @@ func BenchmarkRenderWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), opt, dst); err != nil {
+				if _, err := RenderRegion(wb, v.Bounds(), cam, tf.Jet(), opt, dst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,6 +55,7 @@ func BenchmarkRenderPooledFrame(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	wb := wholeBrick(b, v)
 	const size = 128
 	opt := DefaultOptions()
 	opt.Workers = 1
@@ -61,7 +63,7 @@ func BenchmarkRenderPooledFrame(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), opt, dst); err != nil {
+		if _, err := RenderRegion(wb, v.Bounds(), cam, tf.Jet(), opt, dst); err != nil {
 			b.Fatal(err)
 		}
 		f := dst.ToFrameInto(img.GetFrameRaw(size, size), 0)
@@ -86,7 +88,7 @@ func BenchmarkRenderBrickGrid(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	grid, err := accel.Build(br.Data, br.Origin, br.Normalize, 0)
+	grid, err := accel.Build(br, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestParallelGoldenIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := accel.Build(v, [3]int{0, 0, 0}, v.Normalize, 8)
+	grid, err := accel.Build(wholeBrick(t, v), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestParallelGoldenIdentical(t *testing.T) {
 						serial := opt
 						serial.Workers = 1
 						ref := img.NewRGBA(W, H)
-						refSt, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), serial, ref)
+						refSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), serial, ref)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -60,7 +60,7 @@ func TestParallelGoldenIdentical(t *testing.T) {
 							par := opt
 							par.Workers = workers
 							got := img.NewRGBA(W, H)
-							gotSt, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), par, got)
+							gotSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), par, got)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -109,18 +109,18 @@ func TestAccelGoldenIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	type target struct {
-		s      Sampler
+		b      *vol.Brick
 		region vol.Box
 		grid   *accel.Grid
 	}
-	whole, err := accel.Build(v, [3]int{}, v.Normalize, 8)
+	whole, err := accel.Build(wholeBrick(t, v), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := map[string]target{"whole": {WholeVolume(v), v.Bounds(), whole}}
+	targets := map[string]target{"whole": {wholeBrick(t, v), v.Bounds(), whole}}
 	for i, b := range boxes {
 		br := mustBrick(t, v, b)
-		g, err := accel.Build(br.Data, br.Origin, br.Normalize, 0)
+		g, err := accel.Build(br, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestAccelGoldenIdentical(t *testing.T) {
 							opt.PixelMask = mask
 						}
 						ref := img.NewRGBA(W, H)
-						refSt, err := RenderRegion(tgt.s, tgt.region, cam, tf.Jet(), opt, ref)
+						refSt, err := RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), opt, ref)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -164,7 +164,7 @@ func TestAccelGoldenIdentical(t *testing.T) {
 									}
 								}
 								got := img.NewRGBA(W, H)
-								st, err := RenderRegion(tgt.s, tgt.region, cam, tf.Jet(), opt, got)
+								st, err := RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), opt, got)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -195,7 +195,7 @@ func TestAccelGoldenIdentical(t *testing.T) {
 // once — the DFB compositor counts on the bands to release its tiles.
 func TestAccelAllEmptyBrick(t *testing.T) {
 	v := vol.MustNew(vol.Dims{NX: 20, NY: 24, NZ: 17})
-	grid, err := accel.Build(v, [3]int{}, v.Normalize, 8)
+	grid, err := accel.Build(wholeBrick(t, v), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestAccelAllEmptyBrick(t *testing.T) {
 		for i := range dst.Pix {
 			dst.Pix[i] = 0.25
 		}
-		st, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), opt, dst)
+		st, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), opt, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestAccelDroppedOnDenseVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := accel.Build(v, [3]int{}, v.Normalize, 0)
+	grid, err := accel.Build(wholeBrick(t, v), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestAccelDroppedOnDenseVolume(t *testing.T) {
 func TestAccelMustCoverRegion(t *testing.T) {
 	v := testVolume(t)
 	br := mustBrick(t, v, vol.Box{X1: v.Dims.NX / 2, Y1: v.Dims.NY, Z1: v.Dims.NZ})
-	grid, err := accel.Build(br.Data, br.Origin, br.Normalize, 0)
+	grid, err := accel.Build(br, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestTileDoneCoverageAndIdentity(t *testing.T) {
 	plain := DefaultOptions()
 	plain.Workers = 1
 	ref := img.NewRGBA(W, H)
-	if _, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), plain, ref); err != nil {
+	if _, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), plain, ref); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
@@ -361,7 +361,7 @@ func TestTileDoneCoverageAndIdentity(t *testing.T) {
 				}
 			}
 			got := img.NewRGBA(W, H)
-			if _, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), opt, got); err != nil {
+			if _, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), opt, got); err != nil {
 				t.Fatal(err)
 			}
 			for y, n := range seen {

@@ -118,33 +118,12 @@ type Stats struct {
 	Skipped int
 }
 
-// Sampler is the volume access a ray caster needs; both *vol.Brick
-// and a whole-volume adapter satisfy it. Coordinates are in parent
-// (full-volume) grid space.
-type Sampler interface {
-	Sample(x, y, z float64) float32
-	Gradient(x, y, z float64) (gx, gy, gz float32)
-	Normalize(v float32) float32
-}
-
-// volumeSampler adapts a full volume to the Sampler interface.
-type volumeSampler struct{ v *vol.Volume }
-
-func (s volumeSampler) Sample(x, y, z float64) float32 { return s.v.Sample(x, y, z) }
-func (s volumeSampler) Gradient(x, y, z float64) (float32, float32, float32) {
-	return s.v.Gradient(x, y, z)
-}
-func (s volumeSampler) Normalize(v float32) float32 { return s.v.Normalize(v) }
-
-// WholeVolume wraps a volume as a Sampler for single-node rendering.
-func WholeVolume(v *vol.Volume) Sampler { return volumeSampler{v} }
-
-// RenderRegion ray-casts the part of the volume inside region into
-// dst, a full-size premultiplied RGBA image. Pixels whose rays miss
-// the region are left untouched (transparent), which is what the
-// compositor expects of a partial image. dst must be cleared by the
-// caller if reused.
-func RenderRegion(s Sampler, region vol.Box, cam *Camera, t *tf.TF, opt Options, dst *img.RGBA) (Stats, error) {
+// RenderRegion ray-casts the part of brick b inside region (parent
+// grid coordinates) into dst, a full-size premultiplied RGBA image.
+// Pixels whose rays miss the region are left untouched (transparent),
+// which is what the compositor expects of a partial image. dst must be
+// cleared by the caller if reused.
+func RenderRegion(b *vol.Brick, region vol.Box, cam *Camera, t *tf.TF, opt Options, dst *img.RGBA) (Stats, error) {
 	if err := opt.normalize(); err != nil {
 		return Stats{}, err
 	}
@@ -160,7 +139,7 @@ func RenderRegion(s Sampler, region vol.Box, cam *Camera, t *tf.TF, opt Options,
 		return Stats{}, fmt.Errorf("render: pixel mask of %d entries for %dx%d image", len(opt.PixelMask), dst.W, dst.H)
 	}
 	rr := &rowRenderer{
-		s:         s,
+		b:         b,
 		box:       region,
 		rect:      img.Region{X1: dst.W, Y1: dst.H},
 		cam:       cam,
@@ -204,7 +183,7 @@ func RenderRegion(s Sampler, region vol.Box, cam *Camera, t *tf.TF, opt Options,
 // queue. All fields are read-only during rendering; dst is shared but
 // each pixel is written by exactly one renderRows call.
 type rowRenderer struct {
-	s Sampler
+	b *vol.Brick
 	// box is what rays are intersected with and rect the pixels whose
 	// rays can hit it: the region and the whole image, or with an accel
 	// grid the region clipped to the non-empty cells and that clip's
@@ -262,6 +241,15 @@ func (rr *rowRenderer) useGrid(region vol.Box, t *tf.TF) error {
 // lutScale converts a clamped normalized value to a LUT index.
 const lutScale = float32(tf.LUTSize - 1)
 
+// cellMargin is how far, in ray parameter, before a non-empty
+// macrocell's computed exit the ray caster looks the cell up again.
+// A sample position is off by rounding of order 1e-13 grid units, so a
+// sample this far before the exit is still in the cell. Only a ray
+// grazing a cell face can round a sample into a transparent neighbour
+// first; that sample is then evaluated instead of leapt, and adds
+// nothing.
+const cellMargin = 1e-6
+
 // classify replicates tf.Classify against the captured table.
 func (rr *rowRenderer) classify(v float32) (r, g, b, a float32) {
 	if v < 0 {
@@ -278,10 +266,10 @@ func (rr *rowRenderer) classify(v float32) (r, g, b, a float32) {
 // range, the parallel renderer once per tile.
 func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 	var st Stats
-	s, opt, dst, cam := rr.s, rr.opt, rr.dst, rr.cam
+	br, opt, dst, cam := rr.b, rr.opt, rr.dst, rr.cam
 	w, h := dst.W, dst.H
 	termA := opt.TerminationAlpha
-	emptyCell := rr.emptyCell
+	grid, emptyCell := opt.Accel, rr.emptyCell
 	for py := max(y0, rr.rect.Y0); py < min(y1, rr.rect.Y1); py++ {
 		for px := rr.rect.X0; px < rr.rect.X1; px++ {
 			if opt.PixelMask != nil && !opt.PixelMask[py*w+px] {
@@ -311,16 +299,22 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 			// the ray (strict <), so bricks sharing a face never
 			// double-count a sample.
 			k0 := math.Ceil(tn / opt.Step)
+			// Samples before cellEnd lie in the non-empty macrocell the
+			// last lookup found, so they skip the lookup; cellMargin keeps
+			// rounding near the cell's exit from carrying that verdict
+			// into the next cell.
+			cellEnd := math.Inf(-1)
 			for k := k0; ; k++ {
 				tcur := k * opt.Step
 				if tcur >= tfar {
 					break
 				}
 				p := orig.Add(dir.Scale(tcur))
-				if emptyCell != nil {
-					if ci, ok := opt.Accel.CellAt(p.X, p.Y, p.Z); ok && emptyCell[ci] {
+				if emptyCell != nil && tcur >= cellEnd {
+					ci, ok := grid.CellAt(p.X, p.Y, p.Z)
+					if ok && emptyCell[ci] {
 						// Transparent macrocell: leap to its exit.
-						exit := opt.Accel.CellExit(orig.X, orig.Y, orig.Z, dir.X, dir.Y, dir.Z, tcur)
+						exit := grid.CellExit(orig.X, orig.Y, orig.Z, dir.X, dir.Y, dir.Z, tcur)
 						next := k + 1
 						if k2 := math.Ceil(exit/opt.Step + 1e-9); k2 > next {
 							next = k2
@@ -329,15 +323,18 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 						k = next - 1 // loop increment lands on the first sample past the cell
 						continue
 					}
+					if ok {
+						cellEnd = grid.CellExit(orig.X, orig.Y, orig.Z, dir.X, dir.Y, dir.Z, tcur) - cellMargin
+					}
 				}
-				raw := s.Sample(p.X, p.Y, p.Z)
+				raw := br.Sample(p.X, p.Y, p.Z)
 				st.Samples++
-				cr, cg, cb, ca := rr.classify(s.Normalize(raw))
+				cr, cg, cb, ca := rr.classify(br.Normalize(raw))
 				if ca <= 0 {
 					continue
 				}
 				if opt.Shading {
-					gx, gy, gz := s.Gradient(p.X, p.Y, p.Z)
+					gx, gy, gz := br.Gradient(p.X, p.Y, p.Z)
 					gn := math.Sqrt(float64(gx*gx + gy*gy + gz*gz))
 					shade := float32(0.35)
 					if gn > 1e-6 {
@@ -380,7 +377,7 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 // mipRay marches one maximum-intensity-projection ray and writes the
 // classified maximum into pixel index pix of dst.
 func (rr *rowRenderer) mipRay(orig, dir Vec3, tn, tfar float64, st *Stats, pix int) {
-	s, step, dst := rr.s, rr.opt.Step, rr.dst
+	br, step, dst := rr.b, rr.opt.Step, rr.dst
 	maxV := float32(-1)
 	k0 := math.Ceil(tn / step)
 	for k := k0; ; k++ {
@@ -389,7 +386,7 @@ func (rr *rowRenderer) mipRay(orig, dir Vec3, tn, tfar float64, st *Stats, pix i
 			break
 		}
 		p := orig.Add(dir.Scale(tcur))
-		v := s.Normalize(s.Sample(p.X, p.Y, p.Z))
+		v := br.Normalize(br.Sample(p.X, p.Y, p.Z))
 		st.Samples++
 		if v > maxV {
 			maxV = v
@@ -416,10 +413,15 @@ func (rr *rowRenderer) mipRay(orig, dir Vec3, tn, tfar float64, st *Stats, pix i
 
 // Render ray-casts a whole volume into a new w x h image — the
 // single-processor renderer the paper benchmarks at 10–20 s per 256²
-// frame on one 1999-era CPU.
+// frame on one 1999-era CPU. It renders the ghost-free brick of all of
+// v, which clamps and normalizes exactly as v does.
 func Render(v *vol.Volume, cam *Camera, t *tf.TF, opt Options, w, h int) (*img.RGBA, Stats, error) {
+	b, err := v.Extract(v.Bounds(), 0)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	dst := img.NewRGBA(w, h)
-	st, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, t, opt, dst)
+	st, err := RenderRegion(b, v.Bounds(), cam, t, opt, dst)
 	return dst, st, err
 }
 

@@ -160,6 +160,16 @@ func TestRenderOptionValidation(t *testing.T) {
 	}
 }
 
+// wholeBrick views all of v without ghost cells: what Render samples.
+func wholeBrick(t testing.TB, v *vol.Volume) *vol.Brick {
+	t.Helper()
+	br, err := v.Extract(v.Bounds(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return br
+}
+
 func mustBrick(t *testing.T, v *vol.Volume, b vol.Box) *vol.Brick {
 	t.Helper()
 	br, err := v.Extract(b, 2)
@@ -276,7 +286,7 @@ func TestEmptyRegionError(t *testing.T) {
 	v := testVolume(t)
 	cam, _ := NewOrbitCamera(v.Dims, 0, 0, 2)
 	dst := img.NewRGBA(8, 8)
-	if _, err := RenderRegion(WholeVolume(v), vol.Box{}, cam, tf.Jet(), DefaultOptions(), dst); err == nil {
+	if _, err := RenderRegion(wholeBrick(t, v), vol.Box{}, cam, tf.Jet(), DefaultOptions(), dst); err == nil {
 		t.Fatal("want empty region error")
 	}
 }
@@ -433,7 +443,7 @@ func TestAccelIdenticalAndFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := accel.Build(v, [3]int{0, 0, 0}, v.Normalize, 8)
+	grid, err := accel.Build(wholeBrick(t, v), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +502,7 @@ func TestAccelWithBricks(t *testing.T) {
 	var parts []part
 	for _, b := range boxes {
 		br := mustBrick(t, v, b)
-		grid, err := accel.Build(br.Data, br.Origin, br.Normalize, 8)
+		grid, err := accel.Build(br, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -122,7 +122,11 @@ func (c *Cache) Render(v *vol.Volume, cam *render.Camera, t *tf.TF, opt render.O
 			out.Pix[i*4], out.Pix[i*4+1], out.Pix[i*4+2], out.Pix[i*4+3] = 0, 0, 0, 0
 		}
 	}
-	rst, err := render.RenderRegion(render.WholeVolume(v), bounds, cam, t, renderOpt, out)
+	b, err := v.Extract(bounds, 0)
+	if err != nil {
+		return nil, st, err
+	}
+	rst, err := render.RenderRegion(b, bounds, cam, t, renderOpt, out)
 	if err != nil {
 		return nil, st, err
 	}

@@ -67,29 +67,40 @@ func (v *Volume) Bounds() Box {
 	return Box{X1: v.Dims.NX, Y1: v.Dims.NY, Z1: v.Dims.NZ}
 }
 
-// Brick is a subvolume extracted for one processor node: the data of a
-// Box region (with optional ghost layer) plus its placement inside the
-// parent volume. Sampling coordinates are in parent-volume grid space.
+// Brick is one processor node's subvolume: a view of a Box region
+// (with optional ghost layer) of a volume's data plus its placement
+// inside the parent volume. A brick shares the volume's backing slice
+// instead of copying it, so the data must not change while the brick
+// is in use. Sampling coordinates are in parent-volume grid space. The
+// exported fields describe the view Extract or Place set up; changing
+// them does not move it.
 type Brick struct {
 	// Region is the owned region in parent grid coordinates
 	// (excluding ghost cells).
 	Region Box
-	// Data is the extracted subvolume, including ghost cells.
-	Data *Volume
-	// Origin is the parent grid coordinate of Data's (0,0,0), i.e.
+	// Origin is the parent grid coordinate of the view's (0,0,0), i.e.
 	// Region expanded by the ghost layer and clamped to the parent.
 	Origin [3]int
+	// Dims is the extent of the view, ghost cells included.
+	Dims Dims
 	// ParentDims and ParentMin/ParentMax carry the parent volume's
 	// dimensions and value range so bricks normalize identically.
 	ParentDims Dims
 	ParentMin  float32
 	ParentMax  float32
+
+	// The sampler's per-axis constants, kept as floats so a sample
+	// converts no integers: Origin, and the view's last grid point.
+	org, last [3]float64
+	data      []float32 // the viewed volume's x-fastest values
+	base      int       // index in data of the view's (0,0,0)
+	sy, sz    int       // index strides of y and z in data
 }
 
-// Extract copies the box region, expanded by ghost cells on each side
-// (clamped to the volume), into a standalone Brick. Ghost cells give
-// the ray caster enough neighborhood for interpolation and gradients
-// at brick boundaries.
+// Extract returns a view of the box region, expanded by ghost cells on
+// each side (clamped to the volume). It copies no data: the brick reads
+// v.Data in place. Ghost cells give the ray caster enough neighborhood
+// for interpolation and gradients at brick boundaries.
 func (v *Volume) Extract(region Box, ghost int) (*Brick, error) {
 	region = region.Intersect(v.Bounds())
 	if region.Empty() {
@@ -99,37 +110,127 @@ func (v *Volume) Extract(region Box, ghost int) (*Brick, error) {
 		X0: maxInt(region.X0-ghost, 0), Y0: maxInt(region.Y0-ghost, 0), Z0: maxInt(region.Z0-ghost, 0),
 		X1: minInt(region.X1+ghost, v.Dims.NX), Y1: minInt(region.Y1+ghost, v.Dims.NY), Z1: minInt(region.Z1+ghost, v.Dims.NZ),
 	}
-	sub, err := New(g.Dims())
-	if err != nil {
-		return nil, err
+	return v.view(g, [3]int{g.X0, g.Y0, g.Z0}, region, v.Dims), nil
+}
+
+// Place views all of v as the ghosted extent of a brick that owns
+// region of a parent volume with dims parent, v's (0,0,0) sitting at
+// parent grid point origin — how a node wraps the block it read from
+// storage itself. Like Extract it copies nothing, and the brick
+// normalizes with v's range.
+func (v *Volume) Place(origin [3]int, region Box, parent Dims) (*Brick, error) {
+	placed := Box{
+		X0: origin[0], Y0: origin[1], Z0: origin[2],
+		X1: origin[0] + v.Dims.NX, Y1: origin[1] + v.Dims.NY, Z1: origin[2] + v.Dims.NZ,
 	}
-	for z := g.Z0; z < g.Z1; z++ {
-		for y := g.Y0; y < g.Y1; y++ {
-			srcOff := v.Index(g.X0, y, z)
-			dstOff := sub.Index(0, y-g.Y0, z-g.Z0)
-			copy(sub.Data[dstOff:dstOff+g.X1-g.X0], v.Data[srcOff:srcOff+g.X1-g.X0])
-		}
+	if region.Empty() || region.Intersect(placed) != region {
+		return nil, fmt.Errorf("vol: region %v outside placed volume %v", region, placed)
 	}
-	sub.UpdateRange()
+	return v.view(v.Bounds(), origin, region, parent), nil
+}
+
+// view returns the brick viewing box g of v (in v's grid coordinates),
+// with g's low corner at parent grid point origin.
+func (v *Volume) view(g Box, origin [3]int, region Box, parent Dims) *Brick {
+	d := g.Dims()
 	return &Brick{
 		Region:     region,
-		Data:       sub,
-		Origin:     [3]int{g.X0, g.Y0, g.Z0},
-		ParentDims: v.Dims,
+		Origin:     origin,
+		Dims:       d,
+		ParentDims: parent,
 		ParentMin:  v.Min,
 		ParentMax:  v.Max,
-	}, nil
+		org:        [3]float64{float64(origin[0]), float64(origin[1]), float64(origin[2])},
+		last:       [3]float64{float64(d.NX - 1), float64(d.NY - 1), float64(d.NZ - 1)},
+		data:       v.Data,
+		base:       v.Index(g.X0, g.Y0, g.Z0),
+		sy:         v.Dims.NX,
+		sz:         v.Dims.NX * v.Dims.NY,
+	}
 }
 
-// Sample interpolates the brick at parent-volume grid coordinates.
-// Coordinates outside the brick's stored region clamp to its border.
+// Row returns the view's x-row at view coordinates (y, z): Dims.NX
+// values, aliasing the parent's data.
+func (b *Brick) Row(y, z int) []float32 {
+	off := b.base + y*b.sy + z*b.sz
+	return b.data[off : off+b.Dims.NX : off+b.Dims.NX]
+}
+
+// axis is one axis of a trilinear stencil: the data offsets of the two
+// grid planes a coordinate falls between and the blend weight.
+type axis struct {
+	o0, o1 int
+	f      float32
+}
+
+// axisAt clamps view coordinate u into [0, last] and returns its
+// stencil axis for index stride s. The upper plane is the next one,
+// except on the last plane, which blends with itself.
+func axisAt(u, last float64, s int) axis {
+	if u < 0 {
+		u = 0
+	} else if u > last {
+		u = last
+	}
+	i0 := int(u)
+	o1 := (i0 + 1) * s
+	if float64(i0) == last {
+		o1 = i0 * s
+	}
+	return axis{i0 * s, o1, float32(u - float64(i0))}
+}
+
+// trilinear blends the eight grid points the three stencil axes select,
+// x first, then y, then z.
+func (b *Brick) trilinear(ax, ay, az axis) float32 {
+	d := b.data
+	i00, i10 := b.base+ay.o0+az.o0, b.base+ay.o1+az.o0
+	i01, i11 := b.base+ay.o0+az.o1, b.base+ay.o1+az.o1
+	c00 := d[i00+ax.o0] + ax.f*(d[i00+ax.o1]-d[i00+ax.o0])
+	c10 := d[i10+ax.o0] + ax.f*(d[i10+ax.o1]-d[i10+ax.o0])
+	c01 := d[i01+ax.o0] + ax.f*(d[i01+ax.o1]-d[i01+ax.o0])
+	c11 := d[i11+ax.o0] + ax.f*(d[i11+ax.o1]-d[i11+ax.o0])
+	c0 := c00 + ay.f*(c10-c00)
+	c1 := c01 + ay.f*(c11-c01)
+	return c0 + az.f*(c1-c0)
+}
+
+// Sample trilinearly interpolates the brick at parent-volume grid
+// coordinates. Coordinates outside the view clamp to its border. It is
+// the ray caster's per-step call, so it spells out trilinear's body
+// rather than paying for a second call.
 func (b *Brick) Sample(x, y, z float64) float32 {
-	return b.Data.Sample(x-float64(b.Origin[0]), y-float64(b.Origin[1]), z-float64(b.Origin[2]))
+	ax := axisAt(x-b.org[0], b.last[0], 1)
+	ay := axisAt(y-b.org[1], b.last[1], b.sy)
+	az := axisAt(z-b.org[2], b.last[2], b.sz)
+	d := b.data
+	i00, i10 := b.base+ay.o0+az.o0, b.base+ay.o1+az.o0
+	i01, i11 := b.base+ay.o0+az.o1, b.base+ay.o1+az.o1
+	c00 := d[i00+ax.o0] + ax.f*(d[i00+ax.o1]-d[i00+ax.o0])
+	c10 := d[i10+ax.o0] + ax.f*(d[i10+ax.o1]-d[i10+ax.o0])
+	c01 := d[i01+ax.o0] + ax.f*(d[i01+ax.o1]-d[i01+ax.o0])
+	c11 := d[i11+ax.o0] + ax.f*(d[i11+ax.o1]-d[i11+ax.o0])
+	c0 := c00 + ay.f*(c10-c00)
+	c1 := c01 + ay.f*(c11-c01)
+	return c0 + az.f*(c1-c0)
 }
 
-// Gradient estimates the gradient at parent-volume grid coordinates.
+// Gradient estimates the scalar-field gradient at parent-volume grid
+// coordinates by central differences of trilinear samples one grid
+// unit apart; the result is used for shading. Each difference moves
+// along one axis only, so its samples share the other two axes'
+// stencil terms with the centre.
 func (b *Brick) Gradient(x, y, z float64) (gx, gy, gz float32) {
-	return b.Data.Gradient(x-float64(b.Origin[0]), y-float64(b.Origin[1]), z-float64(b.Origin[2]))
+	const h = 1.0
+	x -= b.org[0]
+	y -= b.org[1]
+	z -= b.org[2]
+	lx, ly, lz := b.last[0], b.last[1], b.last[2]
+	ax, ay, az := axisAt(x, lx, 1), axisAt(y, ly, b.sy), axisAt(z, lz, b.sz)
+	gx = (b.trilinear(axisAt(x+h, lx, 1), ay, az) - b.trilinear(axisAt(x-h, lx, 1), ay, az)) * 0.5
+	gy = (b.trilinear(ax, axisAt(y+h, ly, b.sy), az) - b.trilinear(ax, axisAt(y-h, ly, b.sy), az)) * 0.5
+	gz = (b.trilinear(ax, ay, axisAt(z+h, lz, b.sz)) - b.trilinear(ax, ay, axisAt(z-h, lz, b.sz))) * 0.5
+	return
 }
 
 // Normalize maps a raw value to [0,1] using the parent volume's range,

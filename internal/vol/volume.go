@@ -1,7 +1,8 @@
 // Package vol provides regular-grid scalar volume data structures used
-// throughout the rendering pipeline: storage, trilinear sampling,
-// gradient estimation, and subdivision into bricks for distribution to
-// processor nodes.
+// throughout the rendering pipeline: storage, subdivision into bricks
+// for distribution to processor nodes, and the ray caster's one
+// sampler — trilinear interpolation and central-difference gradients on
+// a brick, which is a view of its volume's data, not a copy.
 //
 // A Volume stores one scalar value per grid point in x-fastest order
 // (index = x + y*nx + z*nx*ny), matching the raw layout the paper's
@@ -144,71 +145,6 @@ func (v *Volume) Normalize(val float32) float32 {
 		return 1
 	}
 	return f
-}
-
-// Sample returns the trilinearly interpolated value at continuous grid
-// coordinates (x,y,z). Coordinates outside the grid are clamped to the
-// boundary.
-func (v *Volume) Sample(x, y, z float64) float32 {
-	nx, ny, nz := v.Dims.NX, v.Dims.NY, v.Dims.NZ
-	if x < 0 {
-		x = 0
-	} else if x > float64(nx-1) {
-		x = float64(nx - 1)
-	}
-	if y < 0 {
-		y = 0
-	} else if y > float64(ny-1) {
-		y = float64(ny - 1)
-	}
-	if z < 0 {
-		z = 0
-	} else if z > float64(nz-1) {
-		z = float64(nz - 1)
-	}
-	x0, y0, z0 := int(x), int(y), int(z)
-	x1, y1, z1 := x0+1, y0+1, z0+1
-	if x1 > nx-1 {
-		x1 = nx - 1
-	}
-	if y1 > ny-1 {
-		y1 = ny - 1
-	}
-	if z1 > nz-1 {
-		z1 = nz - 1
-	}
-	fx := float32(x - float64(x0))
-	fy := float32(y - float64(y0))
-	fz := float32(z - float64(z0))
-
-	i000 := v.Index(x0, y0, z0)
-	i100 := v.Index(x1, y0, z0)
-	i010 := v.Index(x0, y1, z0)
-	i110 := v.Index(x1, y1, z0)
-	i001 := v.Index(x0, y0, z1)
-	i101 := v.Index(x1, y0, z1)
-	i011 := v.Index(x0, y1, z1)
-	i111 := v.Index(x1, y1, z1)
-	d := v.Data
-
-	c00 := d[i000] + fx*(d[i100]-d[i000])
-	c10 := d[i010] + fx*(d[i110]-d[i010])
-	c01 := d[i001] + fx*(d[i101]-d[i001])
-	c11 := d[i011] + fx*(d[i111]-d[i011])
-	c0 := c00 + fy*(c10-c00)
-	c1 := c01 + fy*(c11-c01)
-	return c0 + fz*(c1-c0)
-}
-
-// Gradient estimates the scalar-field gradient at continuous grid
-// coordinates using central differences of trilinear samples. The
-// result is used for shading.
-func (v *Volume) Gradient(x, y, z float64) (gx, gy, gz float32) {
-	const h = 1.0
-	gx = (v.Sample(x+h, y, z) - v.Sample(x-h, y, z)) * 0.5
-	gy = (v.Sample(x, y+h, z) - v.Sample(x, y-h, z)) * 0.5
-	gz = (v.Sample(x, y, z+h) - v.Sample(x, y, z-h)) * 0.5
-	return
 }
 
 // Fill sets every grid point from f(x,y,z) and refreshes the range.

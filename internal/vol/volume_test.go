@@ -71,13 +71,23 @@ func TestSetAt(t *testing.T) {
 	}
 }
 
+// whole views all of v, the brick Render samples a volume through.
+func whole(v *Volume) *Brick {
+	b, err := v.Extract(v.Bounds(), 0)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestSampleAtGridPointsIsExact(t *testing.T) {
 	v := MustNew(Dims{4, 3, 5})
 	v.Fill(func(x, y, z int) float32 { return float32(x*100 + y*10 + z) })
+	b := whole(v)
 	for z := 0; z < 5; z++ {
 		for y := 0; y < 3; y++ {
 			for x := 0; x < 4; x++ {
-				got := v.Sample(float64(x), float64(y), float64(z))
+				got := b.Sample(float64(x), float64(y), float64(z))
 				want := v.At(x, y, z)
 				if math.Abs(float64(got-want)) > 1e-5 {
 					t.Fatalf("Sample(%d,%d,%d)=%v want %v", x, y, z, got, want)
@@ -93,12 +103,13 @@ func TestSampleReproducesLinearField(t *testing.T) {
 	v := MustNew(Dims{8, 8, 8})
 	f := func(x, y, z float64) float64 { return 2*x - 3*y + 0.5*z + 1 }
 	v.Fill(func(x, y, z int) float32 { return float32(f(float64(x), float64(y), float64(z))) })
+	b := whole(v)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		x := rng.Float64() * 7
 		y := rng.Float64() * 7
 		z := rng.Float64() * 7
-		got := float64(v.Sample(x, y, z))
+		got := float64(b.Sample(x, y, z))
 		want := f(x, y, z)
 		if math.Abs(got-want) > 1e-4 {
 			t.Fatalf("Sample(%v,%v,%v)=%v want %v", x, y, z, got, want)
@@ -109,10 +120,10 @@ func TestSampleReproducesLinearField(t *testing.T) {
 func TestSampleClampsOutside(t *testing.T) {
 	v := MustNew(Dims{3, 3, 3})
 	v.Fill(func(x, y, z int) float32 { return float32(x) })
-	if got := v.Sample(-10, 1, 1); got != 0 {
+	if got := whole(v).Sample(-10, 1, 1); got != 0 {
 		t.Fatalf("low clamp: %v", got)
 	}
-	if got := v.Sample(50, 1, 1); got != 2 {
+	if got := whole(v).Sample(50, 1, 1); got != 2 {
 		t.Fatalf("high clamp: %v", got)
 	}
 }
@@ -120,7 +131,7 @@ func TestSampleClampsOutside(t *testing.T) {
 func TestGradientOfLinearField(t *testing.T) {
 	v := MustNew(Dims{10, 10, 10})
 	v.Fill(func(x, y, z int) float32 { return float32(3*x - 2*y + 5*z) })
-	gx, gy, gz := v.Gradient(4.5, 4.5, 4.5)
+	gx, gy, gz := whole(v).Gradient(4.5, 4.5, 4.5)
 	if math.Abs(float64(gx)-3) > 1e-4 || math.Abs(float64(gy)+2) > 1e-4 || math.Abs(float64(gz)-5) > 1e-4 {
 		t.Fatalf("gradient = (%v,%v,%v), want (3,-2,5)", gx, gy, gz)
 	}
@@ -256,8 +267,8 @@ func TestExtractWithGhost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Data.Dims != (Dims{6, 6, 6}) {
-		t.Fatalf("ghosted dims = %v, want 6x6x6", br.Data.Dims)
+	if br.Dims != (Dims{6, 6, 6}) {
+		t.Fatalf("ghosted dims = %v, want 6x6x6", br.Dims)
 	}
 	if br.Origin != [3]int{1, 1, 1} {
 		t.Fatalf("origin = %v", br.Origin)
@@ -265,7 +276,7 @@ func TestExtractWithGhost(t *testing.T) {
 	// Brick sampling in parent coordinates matches the parent volume.
 	for _, p := range [][3]float64{{2, 2, 2}, {3.5, 4.2, 5.9}, {5.99, 2.01, 3}} {
 		got := br.Sample(p[0], p[1], p[2])
-		want := v.Sample(p[0], p[1], p[2])
+		want := whole(v).Sample(p[0], p[1], p[2])
 		if math.Abs(float64(got-want)) > 1e-4 {
 			t.Fatalf("brick sample at %v = %v, parent %v", p, got, want)
 		}
@@ -282,8 +293,8 @@ func TestExtractClampsAtVolumeEdge(t *testing.T) {
 	if br.Origin != [3]int{0, 0, 0} {
 		t.Fatalf("origin = %v, want 0,0,0", br.Origin)
 	}
-	if br.Data.Dims != (Dims{4, 4, 4}) {
-		t.Fatalf("dims = %v", br.Data.Dims)
+	if br.Dims != (Dims{4, 4, 4}) {
+		t.Fatalf("dims = %v", br.Dims)
 	}
 }
 
@@ -338,11 +349,12 @@ func TestSampleWithinRangeProperty(t *testing.T) {
 	v := MustNew(Dims{9, 9, 9})
 	rng := rand.New(rand.NewSource(7))
 	v.Fill(func(x, y, z int) float32 { return rng.Float32()*200 - 100 })
+	b := whole(v)
 	f := func(xr, yr, zr uint16) bool {
 		x := float64(xr) / 65535 * 8
 		y := float64(yr) / 65535 * 8
 		z := float64(zr) / 65535 * 8
-		s := v.Sample(x, y, z)
+		s := b.Sample(x, y, z)
 		return s >= v.Min-1e-3 && s <= v.Max+1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -353,10 +365,24 @@ func TestSampleWithinRangeProperty(t *testing.T) {
 func BenchmarkSample(b *testing.B) {
 	v := MustNew(Dims{64, 64, 64})
 	v.Fill(func(x, y, z int) float32 { return float32(x ^ y ^ z) })
+	br := whole(v)
 	b.ReportAllocs()
 	var s float32
 	for i := 0; i < b.N; i++ {
-		s += v.Sample(31.3, 17.8, 42.1)
+		s += br.Sample(31.3, 17.8, 42.1)
+	}
+	_ = s
+}
+
+func BenchmarkGradient(b *testing.B) {
+	v := MustNew(Dims{64, 64, 64})
+	v.Fill(func(x, y, z int) float32 { return float32(x ^ y ^ z) })
+	br := whole(v)
+	b.ReportAllocs()
+	var s float32
+	for i := 0; i < b.N; i++ {
+		gx, gy, gz := br.Gradient(31.3, 17.8, 42.1)
+		s += gx + gy + gz
 	}
 	_ = s
 }

@@ -44,9 +44,10 @@ func (s *GenStore) Fetch(t int) (*vol.Volume, error) {
 }
 
 // FetchRegion implements RegionStore: the generator synthesizes the
-// full step and cuts the region (a generator has no storage layout to
-// exploit, but the interface lets pipelines exercise the parallel-I/O
-// path against synthetic data).
+// full step and copies the region out (a generator has no storage
+// layout to exploit, but the interface lets pipelines exercise the
+// parallel-I/O path against synthetic data). The copy is what makes
+// the returned volume the caller's own.
 func (s *GenStore) FetchRegion(t int, box vol.Box) (*vol.Volume, error) {
 	v, err := s.Fetch(t)
 	if err != nil {
@@ -56,7 +57,15 @@ func (s *GenStore) FetchRegion(t int, box vol.Box) (*vol.Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := br.Data
+	sub, err := vol.New(br.Dims)
+	if err != nil {
+		return nil, err
+	}
+	for z := 0; z < br.Dims.NZ; z++ {
+		for y := 0; y < br.Dims.NY; y++ {
+			copy(sub.Data[sub.Index(0, y, z):], br.Row(y, z))
+		}
+	}
 	sub.Min, sub.Max = v.Min, v.Max
 	return sub, nil
 }

@@ -273,6 +273,8 @@ type Store interface {
 	Dims() vol.Dims
 	Steps() int
 	// Fetch returns time step t with Min/Max set to the global range.
+	// The volume belongs to the caller: the store keeps no reference
+	// to it and never writes it again, so bricks may view it in place.
 	Fetch(t int) (*vol.Volume, error)
 }
 
@@ -283,7 +285,8 @@ type Store interface {
 type RegionStore interface {
 	Store
 	// FetchRegion returns the grid points of box from step t, with
-	// Min/Max set to the global range.
+	// Min/Max set to the global range. Like Fetch's, the volume
+	// belongs to the caller.
 	FetchRegion(t int, box vol.Box) (*vol.Volume, error)
 }
 
