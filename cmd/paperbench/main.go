@@ -15,11 +15,8 @@
 //
 //	paperbench -exp dfb -json BENCH_dfb.json
 //	                               # tile-ownership (DFB) vs binary-swap
-//	                               # compositing: live bit-identity +
-//	                               # bytes, streaming overlap, and the
-//	                               # 64-512 node critical-path model;
-//	                               # CI gates on bit_identical and the
-//	                               # 256-node overlap/critical-path row
+//	                               # compositing on one live frame:
+//	                               # bit-identity and bytes on the wire
 //
 //	paperbench -exp status -trace merged.json -json BENCH_status.json
 //	                               # loopback relay tree with one

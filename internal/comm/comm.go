@@ -70,21 +70,6 @@ func AsFailure(rec any) error {
 	return nil
 }
 
-// WaitError converts any recovered comm wait panic — scoped peer
-// failure, receive timeout, or world abort — into its error, nil when
-// rec is not a comm panic (re-panic those). Unlike AsFailure it also
-// converts world aborts: it exists for helper goroutines that block on
-// comm primitives outside a Run rank (e.g. a compositor's drain loop),
-// where re-panicking abortPanic would crash the process instead of
-// reaching Run's per-rank recover. The helper recovers, converts, and
-// reports the error to its owning rank.
-func WaitError(rec any) error {
-	if _, ok := rec.(abortPanic); ok {
-		return ErrAborted
-	}
-	return AsFailure(rec)
-}
-
 // message is one in-flight payload.
 type message struct {
 	tag     int
@@ -165,10 +150,10 @@ type inboxMsg struct {
 }
 
 // inbox is one rank's any-source tagged mailbox, backing Post/Take —
-// the asynchronous tile-routing path of the distributed-framebuffer
-// compositor. Unlike the per-(src,dst) mailboxes, messages from all
-// senders land in one queue in arrival order, and a receiver can wait
-// on a tag without naming a sender.
+// the tile-routing path of the distributed-framebuffer compositor.
+// Unlike the per-(src,dst) mailboxes, messages from all senders land
+// in one queue in arrival order, and a receiver can wait on a tag
+// without naming a sender.
 type inbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -229,20 +214,6 @@ func (ib *inbox) take(tag int, expect []int) inboxMsg {
 		}
 		ib.cond.Wait()
 	}
-}
-
-// tryTake removes and returns a message with the given tag if one is
-// queued.
-func (ib *inbox) tryTake(tag int) (inboxMsg, bool) {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for i, msg := range ib.queue {
-		if msg.tag == tag {
-			ib.queue = append(ib.queue[:i], ib.queue[i+1:]...)
-			return msg, true
-		}
-	}
-	return inboxMsg{}, false
 }
 
 // World is a set of P ranks with all-pairs mailboxes.
@@ -434,11 +405,11 @@ func (c *Comm) SendRecv(partner, tag int, payload any, nbytes int) (got any, got
 
 // Post delivers payload to local rank dst's any-source inbox under
 // tag. Like Send it never blocks and transfers payload ownership;
-// unlike Send the receiver matches it with Take/TryTake without
-// naming the sender, and arrival order across senders is preserved.
-// Post is safe to call from helper goroutines of the rank (e.g.
-// render workers shipping finished tiles) and dst may be the caller's
-// own rank (self-delivery, used for drain-loop wakeups).
+// unlike Send the receiver matches it with Take without naming the
+// sender, and arrival order across senders is preserved. Post is safe
+// to call from helper goroutines of the rank, and dst may be the
+// caller's own rank (self-delivery: a DFB owner posts its own
+// fragments).
 func (c *Comm) Post(dst, tag int, payload any, nbytes int) {
 	if dst < 0 || dst >= len(c.ranks) {
 		panic(fmt.Sprintf("comm: post to rank %d of %d", dst, len(c.ranks)))
@@ -473,18 +444,6 @@ func (c *Comm) Take(tag int, expect ...int) (src int, payload any, nbytes int) {
 	msg := c.world.inboxes[wdst].take(tag, wexpect)
 	c.world.bytesRecvBy[wdst].Add(int64(msg.bytes))
 	return c.localRank(msg.src), msg.payload, msg.bytes
-}
-
-// TryTake is the non-blocking Take: ok reports whether a matching
-// message was present.
-func (c *Comm) TryTake(tag int) (src int, payload any, nbytes int, ok bool) {
-	wdst := c.ranks[c.rank]
-	msg, ok := c.world.inboxes[wdst].tryTake(tag)
-	if !ok {
-		return -1, nil, 0, false
-	}
-	c.world.bytesRecvBy[wdst].Add(int64(msg.bytes))
-	return c.localRank(msg.src), msg.payload, msg.bytes, true
 }
 
 // localRank maps a world rank to this communicator's local rank, -1

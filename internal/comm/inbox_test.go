@@ -73,27 +73,6 @@ func TestInboxTagFilteringPreservesOtherTags(t *testing.T) {
 	}
 }
 
-func TestInboxTryTake(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() != 0 {
-			return nil
-		}
-		if _, _, _, ok := c.TryTake(3); ok {
-			return errors.New("TryTake found a message in an empty inbox")
-		}
-		c.Post(0, 3, "self", 4) // self-delivery
-		src, payload, _, ok := c.TryTake(3)
-		if !ok || payload != "self" || src != 0 {
-			return fmt.Errorf("TryTake = (%d, %v, %v)", src, payload, ok)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInboxPostFromHelperGoroutine(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const tiles = 8
@@ -193,21 +172,5 @@ func TestInboxTakeTimeout(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWaitErrorConvertsAborts(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	if err := WaitError(abortPanic{}); !errors.Is(err, ErrAborted) {
-		t.Fatalf("abortPanic -> %v", err)
-	}
-	if err := WaitError(failPanic{rank: 3}); !errors.Is(err, ErrRankFailed) {
-		t.Fatalf("failPanic -> %v", err)
-	}
-	if err := WaitError(failPanic{rank: -1, timeout: true}); !errors.Is(err, ErrRecvTimeout) {
-		t.Fatalf("timeout failPanic -> %v", err)
-	}
-	if err := WaitError(errors.New("unrelated")); err != nil {
-		t.Fatalf("non-comm panic -> %v", err)
 	}
 }

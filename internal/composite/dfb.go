@@ -1,18 +1,17 @@
 // Distributed-framebuffer (tile-ownership) compositing, after the
 // Distributed FrameBuffer of Usher et al.: the frame is cut into fixed
-// scanline tiles, each with a deterministic owner rank. As a node's
-// ray caster finishes the rows of a tile it immediately posts that
-// fragment to the owner over the comm any-source inbox; owners blend
-// arriving fragments in visibility order and emit each completed tile
-// the moment its last fragment lands. There is no exchange barrier:
-// compositing overlaps rendering, early tiles can start compressing
-// and shipping while the slowest node is still ray casting, and
-// all-transparent fragments cross the wire as tiny markers instead of
-// pixels.
+// scanline tiles, each with a deterministic owner rank. Every rank
+// posts each tile of its partial image to the tile's owner over the
+// comm any-source inbox, and owners blend the fragments of a tile in
+// visibility order once all have landed. All-transparent fragments
+// cross the wire as tiny markers instead of pixels, which is where a
+// brick's limited screen footprint turns into fewer bytes than
+// binary-swap moves.
 //
-// Binary-swap remains the golden reference. DFB is bit-identical to
-// it on power-of-two groups because owners blend each tile with the
-// same balanced merge tree binary-swap induces (frontRange arbitrates
+// The pipeline composites with binary-swap; DFBComposite is the
+// one-shot comparison. It is bit-identical to BinarySwap on
+// power-of-two groups because owners blend each tile with the same
+// balanced merge tree binary-swap induces (frontRange arbitrates
 // front/back for both); non-power-of-two groups blend linearly in
 // visibility order, bit-identical to DirectSend. Skipping an
 // all-transparent fragment is exact: with premultiplied non-negative
@@ -22,7 +21,6 @@ package composite
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/img"
@@ -30,17 +28,16 @@ import (
 	"repro/internal/vol"
 )
 
-// DefaultTileRows is the tile height in scanlines when DFBOptions
-// leaves TileRows zero.
-const DefaultTileRows = 8
+// tileRows is the tile height in scanlines.
+const tileRows = 8
 
 // emptyFragBytes is the accounted wire size of an all-transparent
 // fragment marker (tile index + header, no pixels).
 const emptyFragBytes = 16
 
-// Tile is one fully blended tile of the frame, emitted by its owner.
+// Tile is one fully blended tile of the frame, returned by its owner.
 type Tile struct {
-	// Index is the tile number (Region = rows [Index*TileRows, ...)).
+	// Index is the tile number (Region = rows [Index*tileRows, ...)).
 	Index int
 	// Region is the tile's absolute screen region.
 	Region img.Region
@@ -49,23 +46,8 @@ type Tile struct {
 	Image *img.RGBA
 }
 
-// TileSink observes completed tiles on their owner rank, in completion
-// order. It is called from the DFB drain goroutine; a non-nil error
-// aborts the drain and surfaces from Wait. The tile image remains
-// owned by the DFB (it is also returned by Wait) — sinks must copy
-// pixels they need past the call.
-type TileSink func(Tile) error
-
-// DFBOptions tunes a distributed-framebuffer compositor.
-type DFBOptions struct {
-	// TileRows is the tile height in scanlines (0 = DefaultTileRows).
-	TileRows int
-	// OnTile, when set, streams each completed tile out of the owner
-	// as soon as its last fragment is blended — before the frame (or
-	// even the local render) is finished. This is the hook that lets
-	// per-tile compression and delivery start early.
-	OnTile TileSink
-}
+// DFBOptions is DFBComposite's options argument; it has no fields.
+type DFBOptions struct{}
 
 // tileFrag is the wire payload of one rank's contribution to a tile.
 // A nil image marks an all-transparent contribution: the owner counts
@@ -75,251 +57,79 @@ type tileFrag struct {
 	im   *img.RGBA
 }
 
-// dfbCancel is a self-posted wake-up marker: a rank whose render
-// failed posts it to its own inbox so the drain loop exits instead of
-// waiting forever for fragments that will never come.
-type dfbCancel struct{}
-
-// ErrDFBCancelled is returned by Wait after Cancel.
-var ErrDFBCancelled = fmt.Errorf("composite: DFB cancelled")
-
-// DFB is one rank's endpoint of a distributed-framebuffer composite
-// for a single frame. Typical lifecycle on every rank of the group:
+// DFBComposite composites the group's partial images by tile
+// ownership — BinarySwap's call shape. Every rank of c calls it with
+// its full-size partial image im (the rendering of boxes[rank] as seen
+// from eye) and the same step, which namespaces the message tags. Tile
+// ti belongs to rank ti % size; each rank returns its owned tiles, in
+// completion order, ready for GatherTiles. The caller's im is never
+// recycled.
 //
-//	d, _ := composite.NewDFB(c, step, w, h, boxes, eye, opt)
-//	d.Start()                       // drain goroutine: blend + emit
-//	// render, calling d.RowsDone(dst, y0, y1) per finished band
-//	d.RenderDone()                  // overlap bookkeeping
-//	tiles, err := d.Wait()          // this rank's owned tiles
-//
-// RowsDone is safe to call concurrently from render workers. One DFB
-// serves one (group, step) frame; make a fresh one per step.
-type DFB struct {
-	c        *comm.Comm
-	step     int
-	w, h     int
-	boxes    []vol.Box
-	eye      render.Vec3
-	tileRows int
-	onTile   TileSink
-
-	tiles []img.Region
-	// pow2 selects the binary-swap-identical merge tree; otherwise
-	// tiles blend linearly in order (DirectSend-identical).
-	pow2  bool
-	order []int
-
-	// remaining[t] counts rows of tile t this rank has not rendered
-	// yet; the render callback decrements it and posts the fragment at
-	// zero (atomic — render workers report concurrently).
-	remaining []int32
-
-	ownedTiles []int
-	// emitted counts owned tiles blended and emitted so far; early is
-	// its snapshot at RenderDone — the overlap numerator.
-	emitted   atomic.Int32
-	early     atomic.Int32
-	started   bool
-	cancelled atomic.Bool
-
-	done chan struct{}
-	out  []Tile
-	err  error
+// A contributor that dies before posting its fragments fails the
+// owners waiting on it with comm.ErrRankFailed (and a world
+// RecvTimeout with comm.ErrRecvTimeout) as an ordinary error.
+func DFBComposite(c *comm.Comm, im *img.RGBA, boxes []vol.Box, eye render.Vec3, step int, _ DFBOptions) ([]Tile, error) {
+	return dfbComposite(c, im, boxes, eye, step, tileRows)
 }
 
-// NewDFB prepares a distributed-framebuffer composite of one w x h
-// frame across the ranks of c, which rendered boxes as seen from eye
-// (boxes[rank] per rank, recursive-bisection order as for BinarySwap).
-// step namespaces the message tags via the comm tag registry.
-func NewDFB(c *comm.Comm, step, w, h int, boxes []vol.Box, eye render.Vec3, opt DFBOptions) (*DFB, error) {
+// dfbComposite is DFBComposite with tiles tr scanlines high.
+func dfbComposite(c *comm.Comm, im *img.RGBA, boxes []vol.Box, eye render.Vec3, step, tr int) (tiles []Tile, err error) {
 	p := c.Size()
 	if len(boxes) != p {
 		return nil, fmt.Errorf("composite: %d boxes for %d ranks", len(boxes), p)
 	}
+	w, h := im.W, im.H
 	if w < 1 || h < 1 {
 		return nil, fmt.Errorf("composite: image %dx%d", w, h)
-	}
-	tr := opt.TileRows
-	if tr == 0 {
-		tr = DefaultTileRows
 	}
 	if tr < 1 {
 		return nil, fmt.Errorf("composite: tile rows %d", tr)
 	}
-	if tr > h {
-		tr = h
+	tr = min(tr, h)
+	pow2 := p&(p-1) == 0
+	var order []int
+	if !pow2 {
+		if order, err = VisibilityOrder(boxes, eye); err != nil {
+			return nil, err
+		}
 	}
-	d := &DFB{
-		c: c, step: step, w: w, h: h,
-		boxes: boxes, eye: eye,
-		tileRows: tr,
-		onTile:   opt.OnTile,
-		pow2:     p&(p-1) == 0,
-		done:     make(chan struct{}),
+	nt := (h + tr - 1) / tr
+	region := func(ti int) img.Region {
+		return img.Region{X0: 0, Y0: ti * tr, X1: w, Y1: min(ti*tr+tr, h)}
 	}
-	if !d.pow2 {
-		order, err := VisibilityOrder(boxes, eye)
+
+	// Post every tile to its owner. All-transparent fragments travel as
+	// pixel-free markers: blending a zero fragment is the bitwise
+	// identity, so the owner just counts them.
+	tag := tagTile.Tag(step, 0)
+	for ti := 0; ti < nt; ti++ {
+		frag, err := subRGBAPooled(im, region(ti))
 		if err != nil {
 			return nil, err
 		}
-		d.order = order
-	}
-	nt := (h + tr - 1) / tr
-	d.tiles = make([]img.Region, nt)
-	d.remaining = make([]int32, nt)
-	for i := range d.tiles {
-		y0 := i * tr
-		y1 := min(y0+tr, h)
-		d.tiles[i] = img.Region{X0: 0, Y0: y0, X1: w, Y1: y1}
-		d.remaining[i] = int32(y1 - y0)
-		if d.Owner(i) == c.Rank() {
-			d.ownedTiles = append(d.ownedTiles, i)
-		}
-	}
-	return d, nil
-}
-
-// Owner returns the rank that blends and emits tile ti — a fixed
-// assignment every rank computes identically (round-robin, so owners
-// stay balanced whatever the group size).
-func (d *DFB) Owner(ti int) int { return ti % d.c.Size() }
-
-// NumTiles returns the frame's tile count.
-func (d *DFB) NumTiles() int { return len(d.tiles) }
-
-// TileRegion returns the absolute screen region of tile ti.
-func (d *DFB) TileRegion(ti int) img.Region { return d.tiles[ti] }
-
-// Start launches the drain goroutine that receives fragments for this
-// rank's owned tiles, blends, and emits. Call exactly once, before
-// Wait; fragments posted before Start simply queue in the inbox.
-func (d *DFB) Start() {
-	if d.started {
-		panic("composite: DFB.Start called twice")
-	}
-	d.started = true
-	go d.drain()
-}
-
-// RowsDone reports that scanlines [y0,y1) of this rank's partial image
-// src are final. Tiles whose rows are all rendered are immediately
-// carved out of src and posted to their owners — hook this to
-// render.Options.TileDone so tiles ship while the frame is still
-// rendering. Safe for concurrent calls with disjoint row bands; each
-// row must be reported exactly once.
-func (d *DFB) RowsDone(src *img.RGBA, y0, y1 int) {
-	y0 = max(y0, 0)
-	y1 = min(y1, d.h)
-	for ti := y0 / d.tileRows; ti < len(d.tiles) && d.tiles[ti].Y0 < y1; ti++ {
-		t := d.tiles[ti]
-		ov := min(y1, t.Y1) - max(y0, t.Y0)
-		if ov <= 0 {
+		if allTransparent(frag) {
+			img.PutRGBA(frag)
+			c.Post(ti%p, tag, tileFrag{tile: ti}, emptyFragBytes)
 			continue
 		}
-		if atomic.AddInt32(&d.remaining[ti], -int32(ov)) == 0 {
-			d.postTile(src, ti)
-		}
+		c.Post(ti%p, tag, tileFrag{tile: ti, im: frag}, pieceBytes(frag))
 	}
-}
 
-// SubmitAll posts every tile of a fully rendered partial image — the
-// non-streaming path for callers without per-band render callbacks.
-func (d *DFB) SubmitAll(src *img.RGBA) { d.RowsDone(src, 0, d.h) }
-
-// RenderDone records that this rank's local render has finished; the
-// owned tiles already emitted by then were composited entirely in the
-// shadow of rendering (the overlap numerator of Overlap).
-func (d *DFB) RenderDone() { d.early.Store(d.emitted.Load()) }
-
-// Overlap reports, after Wait, how many of this rank's owned tiles
-// were emitted before RenderDone, and how many it owns in total.
-func (d *DFB) Overlap() (early, owned int) {
-	return int(d.early.Load()), len(d.ownedTiles)
-}
-
-// Cancel aborts the drain loop (e.g. this rank's render failed): a
-// wake-up marker is posted to the rank's own inbox so Wait returns
-// ErrDFBCancelled promptly instead of blocking on fragments that will
-// never arrive. Idempotent; safe after normal completion (the marker
-// is simply never consumed).
-func (d *DFB) Cancel() {
-	if d.cancelled.Swap(true) {
-		return
-	}
-	d.c.Post(d.c.Rank(), tagTile.Tag(d.step, 0), dfbCancel{}, 0)
-}
-
-// Wait blocks until every owned tile is blended and emitted (or the
-// drain failed) and returns this rank's tiles in completion order.
-// The tile images are pool-backed and owned by the caller.
-func (d *DFB) Wait() ([]Tile, error) {
-	if !d.started {
-		return nil, fmt.Errorf("composite: DFB.Wait before Start")
-	}
-	<-d.done
-	return d.out, d.err
-}
-
-// postTile carves tile ti out of src and posts it to its owner.
-// All-transparent fragments travel as pixel-free markers: blending a
-// zero fragment is the bitwise identity, so the owner just counts
-// them — this is where a brick's limited screen footprint turns into
-// wire savings.
-func (d *DFB) postTile(src *img.RGBA, ti int) {
-	frag, err := subRGBAPooled(src, d.tiles[ti])
-	if err != nil {
-		// Unreachable by construction (tiles lie inside the frame);
-		// surface loudly rather than hang the owner.
-		panic(err)
-	}
-	tag := tagTile.Tag(d.step, 0)
-	if allTransparent(frag) {
-		img.PutRGBA(frag)
-		d.c.Post(d.Owner(ti), tag, tileFrag{tile: ti}, emptyFragBytes)
-		return
-	}
-	d.c.Post(d.Owner(ti), tag, tileFrag{tile: ti, im: frag}, pieceBytes(frag))
-}
-
-// allTransparent reports whether every pixel of the fragment is
-// exactly zero.
-func allTransparent(im *img.RGBA) bool {
-	for _, v := range im.Pix {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// drain is the owner loop: one goroutine per rank receiving fragments
-// for its owned tiles, blending each tile as its last fragment lands,
-// and emitting it to the sink. Comm wait panics (peer death, timeout,
-// world abort) are converted to errors here — this goroutine is not a
-// Run rank, so re-panicking would crash the process.
-func (d *DFB) drain() {
-	defer close(d.done)
+	// Take this rank's owned tiles. A dead contributor panics the wait
+	// with a scoped comm failure; hand it back as an error. World aborts
+	// propagate to Run's rank wrapper.
 	defer func() {
 		if rec := recover(); rec != nil {
-			if err := comm.WaitError(rec); err != nil {
-				d.err = err
-				return
+			fe := comm.AsFailure(rec)
+			if fe == nil {
+				panic(rec)
 			}
-			panic(rec)
+			tiles, err = nil, fe
 		}
 	}()
-	nOwned := len(d.ownedTiles)
-	if nOwned == 0 {
-		return
-	}
-	p := d.c.Size()
-	tag := tagTile.Tag(d.step, 0)
-	ownedIdx := make([]int, len(d.tiles))
-	for i := range ownedIdx {
-		ownedIdx[i] = -1
-	}
-	for k, ti := range d.ownedTiles {
-		ownedIdx[ti] = k
+	nOwned := 0
+	for ti := c.Rank(); ti < nt; ti += p {
+		nOwned++
 	}
 	// frags[k][src] is src's fragment for owned tile k (nil = empty or
 	// not yet arrived; seen disambiguates), got[k] the arrival count.
@@ -333,39 +143,28 @@ func (d *DFB) drain() {
 		outstanding[i] = nOwned
 	}
 	expect := make([]int, 0, p)
-	pending := nOwned
-	for pending > 0 {
+	for pending := nOwned; pending > 0; {
 		expect = expect[:0]
 		for r, n := range outstanding {
 			if n > 0 {
 				expect = append(expect, r)
 			}
 		}
-		src, payload, _ := d.c.Take(tag, expect...)
-		if _, isCancel := payload.(dfbCancel); isCancel {
-			d.err = ErrDFBCancelled
-			return
-		}
+		src, payload, _ := c.Take(tag, expect...)
 		f, ok := payload.(tileFrag)
 		if !ok {
-			d.err = fmt.Errorf("composite: unexpected tile payload %T", payload)
-			return
+			return nil, fmt.Errorf("composite: unexpected tile payload %T", payload)
 		}
-		k := -1
-		if f.tile >= 0 && f.tile < len(ownedIdx) {
-			k = ownedIdx[f.tile]
+		if f.tile < 0 || f.tile >= nt || f.tile%p != c.Rank() || src < 0 {
+			return nil, fmt.Errorf("composite: tile %d fragment from rank %d not for this owner", f.tile, src)
 		}
-		if k < 0 || src < 0 {
-			d.err = fmt.Errorf("composite: tile %d fragment from rank %d not for this owner", f.tile, src)
-			return
-		}
+		k := f.tile / p
 		if frags[k] == nil {
 			frags[k] = make([]*img.RGBA, p)
 			seen[k] = make([]bool, p)
 		}
 		if seen[k][src] {
-			d.err = fmt.Errorf("composite: duplicate fragment for tile %d from rank %d", f.tile, src)
-			return
+			return nil, fmt.Errorf("composite: duplicate fragment for tile %d from rank %d", f.tile, src)
 		}
 		seen[k][src] = true
 		frags[k][src] = f.im
@@ -374,46 +173,50 @@ func (d *DFB) drain() {
 		if got[k] < p {
 			continue
 		}
-		im, err := d.mergeTile(f.tile, frags[k])
+		reg := region(f.tile)
+		merged, err := mergeTile(reg, frags[k], boxes, eye, pow2, order)
 		if err != nil {
-			d.err = err
-			return
+			return nil, err
 		}
 		frags[k] = nil
-		t := Tile{Index: f.tile, Region: d.tiles[f.tile], Image: im}
-		d.out = append(d.out, t)
-		d.emitted.Add(1)
-		if d.onTile != nil {
-			if err := d.onTile(t); err != nil {
-				d.err = err
-				return
-			}
-		}
+		tiles = append(tiles, Tile{Index: f.tile, Region: reg, Image: merged})
 		pending--
 	}
+	return tiles, nil
 }
 
-// mergeTile blends the P fragments of one tile. Power-of-two groups
-// use the binary-swap merge tree (bit-identical to BinarySwap); other
-// sizes accumulate linearly in visibility order from a transparent
-// canvas (bit-identical to DirectSend). The result is pool-backed and
-// may alias one fragment; every other non-nil fragment is recycled.
-func (d *DFB) mergeTile(ti int, frags []*img.RGBA) (*img.RGBA, error) {
-	reg := d.tiles[ti]
-	if d.pow2 {
-		im, err := d.mergeTree(frags, 0, len(frags))
+// allTransparent reports whether every pixel of the fragment is
+// exactly zero.
+func allTransparent(im *img.RGBA) bool {
+	for _, v := range im.Pix {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeTile blends the P fragments of the tile covering reg.
+// Power-of-two groups use the binary-swap merge tree (bit-identical to
+// BinarySwap); other sizes accumulate linearly in visibility order from
+// a transparent canvas (bit-identical to DirectSend). The result is
+// pool-backed and may alias one fragment; every other non-nil fragment
+// is recycled.
+func mergeTile(reg img.Region, frags []*img.RGBA, boxes []vol.Box, eye render.Vec3, pow2 bool, order []int) (*img.RGBA, error) {
+	if pow2 {
+		im, err := mergeTree(frags, boxes, eye, 0, len(frags))
 		if err != nil {
 			return nil, err
 		}
 		if im == nil {
 			// Every fragment was transparent: an owned tile is still due,
-			// so emit a blank one.
+			// so return a blank one.
 			im = img.GetRGBA(reg.W(), reg.H())
 		}
 		return im, nil
 	}
 	out := img.GetRGBA(reg.W(), reg.H())
-	for _, i := range d.order {
+	for _, i := range order {
 		f := frags[i]
 		if f == nil {
 			continue
@@ -432,16 +235,16 @@ func (d *DFB) mergeTile(ti int, frags []*img.RGBA) (*img.RGBA, error) {
 // decisions BinarySwap's stages make, in the same operand order. nil
 // (transparent) fragments are identities and skip the blend entirely,
 // which is bit-exact for premultiplied non-negative pixels.
-func (d *DFB) mergeTree(frags []*img.RGBA, lo, hi int) (*img.RGBA, error) {
+func mergeTree(frags []*img.RGBA, boxes []vol.Box, eye render.Vec3, lo, hi int) (*img.RGBA, error) {
 	if hi-lo == 1 {
 		return frags[lo], nil
 	}
 	mid := lo + (hi-lo)/2
-	a, err := d.mergeTree(frags, lo, mid)
+	a, err := mergeTree(frags, boxes, eye, lo, mid)
 	if err != nil {
 		return nil, err
 	}
-	b, err := d.mergeTree(frags, mid, hi)
+	b, err := mergeTree(frags, boxes, eye, mid, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +254,7 @@ func (d *DFB) mergeTree(frags []*img.RGBA, lo, hi int) (*img.RGBA, error) {
 	if b == nil {
 		return a, nil
 	}
-	leftFront, err := frontRange(d.boxes, lo, mid, hi, d.eye)
+	leftFront, err := frontRange(boxes, lo, mid, hi, eye)
 	if err != nil {
 		return nil, err
 	}
@@ -467,21 +270,6 @@ func (d *DFB) mergeTree(frags []*img.RGBA, lo, hi int) (*img.RGBA, error) {
 	}
 	img.PutRGBA(a)
 	return b, nil
-}
-
-// DFBComposite is the one-shot form: submit a fully rendered partial
-// image, drain, and return this rank's owned tiles — BinarySwap's
-// call shape, for callers without per-band render hooks. Every rank
-// of c must call it with the same step.
-func DFBComposite(c *comm.Comm, im *img.RGBA, boxes []vol.Box, eye render.Vec3, step int, opt DFBOptions) ([]Tile, error) {
-	d, err := NewDFB(c, step, im.W, im.H, boxes, eye, opt)
-	if err != nil {
-		return nil, err
-	}
-	d.Start()
-	d.SubmitAll(im)
-	d.RenderDone()
-	return d.Wait()
 }
 
 // GatherTiles assembles every rank's owned tiles into a full frame at

@@ -49,8 +49,7 @@ func TestDFBBitIdenticalToBinarySwap(t *testing.T) {
 				_, partials, _, _ = renderPartials(t, p, W, H)
 				var dfbFrame *img.RGBA
 				err = comm.Run(p, func(c *comm.Comm) error {
-					tiles, err := DFBComposite(c, partials[c.Rank()], boxes, cam.Eye, 0,
-						DFBOptions{TileRows: tileRows})
+					tiles, err := dfbComposite(c, partials[c.Rank()], boxes, cam.Eye, 0, tileRows)
 					if err != nil {
 						return err
 					}
@@ -134,59 +133,42 @@ func TestDFBNonPow2BitIdenticalToDirectSend(t *testing.T) {
 	}
 }
 
-// Owners must emit every tile exactly once, to the rank its index
-// maps to, with the right region — and the OnTile stream must see
-// each owned tile before Wait returns it.
+// Owners must return every tile exactly once, on the rank its index
+// maps to, with the right region.
 func TestDFBTileOwnershipAndStreaming(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const P, W, H, tileRows = 4, 32, 30, 4
 	_, partials, boxes, cam := renderPartials(t, P, W, H)
 
 	var mu sync.Mutex
-	emittedBy := map[int][]int{} // rank -> tile indices seen via OnTile
+	seen := map[int]int{} // tile index -> times returned
 	err := comm.Run(P, func(c *comm.Comm) error {
 		rank := c.Rank()
-		opt := DFBOptions{
-			TileRows: tileRows,
-			OnTile: func(tl Tile) error {
-				mu.Lock()
-				defer mu.Unlock()
-				emittedBy[rank] = append(emittedBy[rank], tl.Index)
-				return nil
-			},
-		}
-		tiles, err := DFBComposite(c, partials[rank], boxes, cam.Eye, 0, opt)
+		tiles, err := dfbComposite(c, partials[rank], boxes, cam.Eye, 0, tileRows)
 		if err != nil {
 			return err
 		}
 		for _, tl := range tiles {
 			if tl.Index%P != rank {
-				return fmt.Errorf("rank %d emitted tile %d owned by %d", rank, tl.Index, tl.Index%P)
+				return fmt.Errorf("rank %d returned tile %d owned by %d", rank, tl.Index, tl.Index%P)
 			}
 			want := img.Region{X0: 0, Y0: tl.Index * tileRows, X1: W, Y1: min(tl.Index*tileRows+tileRows, H)}
 			if tl.Region != want {
 				return fmt.Errorf("tile %d region %+v, want %+v", tl.Index, tl.Region, want)
 			}
+			mu.Lock()
+			seen[tl.Index]++
+			mu.Unlock()
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	numTiles := (H + tileRows - 1) / tileRows
-	seen := map[int]int{}
-	for rank, tiles := range emittedBy {
-		for _, ti := range tiles {
-			seen[ti]++
-			if ti%P != rank {
-				t.Fatalf("OnTile for tile %d fired on rank %d", ti, rank)
-			}
-		}
-	}
 	for ti := 0; ti < numTiles; ti++ {
 		if seen[ti] != 1 {
-			t.Fatalf("tile %d emitted %d times (want 1); seen %v", ti, seen[ti], seen)
+			t.Fatalf("tile %d returned %d times (want 1); seen %v", ti, seen[ti], seen)
 		}
 	}
 }
@@ -244,34 +226,8 @@ func TestDFBMovesFewerBytesThanBinarySwap(t *testing.T) {
 	t.Logf("bytes on wire: DFB %d vs binary-swap %d (%.1fx)", dfbBytes, swapBytes, float64(swapBytes)/float64(dfbBytes))
 }
 
-// Cancel must unblock the drain goroutine promptly (no leaked drain,
-// no hang) and surface ErrDFBCancelled from Wait.
-func TestDFBCancelUnblocksWait(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	err := comm.Run(2, func(c *comm.Comm) error {
-		boxes, err := vol.SplitKD(vol.Dims{NX: 16, NY: 16, NZ: 16}, 2)
-		if err != nil {
-			return err
-		}
-		d, err := NewDFB(c, 0, 16, 16, boxes, render.Vec3{X: -30, Y: 8, Z: 8}, DFBOptions{})
-		if err != nil {
-			return err
-		}
-		d.Start()
-		// Simulated render failure: never submit, cancel instead.
-		d.Cancel()
-		if _, werr := d.Wait(); !errors.Is(werr, ErrDFBCancelled) {
-			return fmt.Errorf("Wait after Cancel = %v", werr)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A dead contributor must fail the owners' drains fast (ErrRankFailed
-// via the expect set), not hang them.
+// A dead contributor must fail its owners fast with ErrRankFailed (via
+// the expect set) as an ordinary error, not hang them or panic.
 func TestDFBContributorDeathFailsFast(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const P, W, H = 4, 32, 32

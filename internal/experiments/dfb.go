@@ -1,36 +1,18 @@
 package experiments
 
 import (
-	"fmt"
-	"sync"
-	"time"
-
 	"repro/internal/comm"
 	"repro/internal/composite"
 	"repro/internal/datagen"
 	"repro/internal/img"
-	"repro/internal/pipeline"
 	"repro/internal/render"
-	"repro/internal/sim"
 	"repro/internal/tf"
 	"repro/internal/vol"
-	"repro/internal/volio"
 )
 
-// DFBScale is one modelled group size of the barrier-vs-DFB sweep.
-type DFBScale struct {
-	G                 int     `json:"g"`
-	BarrierCriticalMS float64 `json:"barrier_critical_ms"`
-	DFBCriticalMS     float64 `json:"dfb_critical_ms"`
-	Overlap           float64 `json:"overlap"`
-	BarrierBytes      int64   `json:"barrier_bytes"`
-	DFBBytes          int64   `json:"dfb_bytes"`
-}
-
-// DFBResult is the tile-ownership compositing evaluation: a real
-// in-process run proving bit-identity and footprint sparsity, a real
-// streaming pipeline run measuring render/composite overlap, and the
-// event-model sweep to 512 nodes that the harness cannot run live.
+// DFBResult is the tile-ownership compositing comparison: one real
+// in-process frame through both compositors, proving bit-identity and
+// counting the bytes each moves.
 type DFBResult struct {
 	// RealNodes is the in-process world size of the live comparison.
 	RealNodes int `json:"real_nodes"`
@@ -40,19 +22,10 @@ type DFBResult struct {
 	// SwapBytes / DFBBytes are the live runs' compositing bytes.
 	SwapBytes int64 `json:"swap_bytes"`
 	DFBBytes  int64 `json:"dfb_bytes"`
-	// TilesStreamed and StreamOverlap come from the live pipeline run
-	// with OnTile: tiles delivered ahead of frame gather, and the mean
-	// fraction blended before rendering finished.
-	TilesStreamed int     `json:"tiles_streamed"`
-	StreamOverlap float64 `json:"stream_overlap"`
-	// Scales is the modelled 64-512 node sweep.
-	Scales []DFBScale `json:"scales"`
 }
 
-// DFB evaluates the tile-ownership compositor against the binary-swap
-// barrier: bit-identity and bytes-on-wire on a real in-process group,
-// streaming overlap through the real pipeline, and critical-path
-// scaling on the event model at 64-512 nodes.
+// DFB compares the tile-ownership compositor with binary-swap on a
+// real in-process group: bit-identity and bytes on the wire.
 func (c *Context) DFB() (*DFBResult, error) {
 	p, w, h := 8, 64, 64
 	if c.Quick {
@@ -118,81 +91,10 @@ func (c *Context) DFB() (*DFBResult, error) {
 		}
 	}
 
-	// Live streaming: the pipeline under CompositorDFB, counting tiles
-	// that reach OnTile and the per-frame overlap it reports.
-	steps := 4
-	if c.Quick {
-		steps = 2
-	}
-	popt := pipeline.Options{
-		P: p, L: 2, ImageW: w, ImageH: h, TF: tf.Jet(),
-		Compositor: pipeline.CompositorDFB,
-	}
-	popt.Render.TerminationAlpha = 1
-	var mu sync.Mutex
-	streamed := 0
-	popt.OnTile = func(gid, step int, t composite.Tile) error {
-		mu.Lock()
-		streamed++
-		mu.Unlock()
-		return nil
-	}
-	var overlapSum float64
-	frames := 0
-	store := volio.NewGenStore(datagen.NewJetScaled(0.15, steps))
-	if _, err := pipeline.Run(store, popt, func(f *pipeline.Frame) error {
-		mu.Lock()
-		overlapSum += f.CompositeOverlap
-		frames++
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	res.TilesStreamed = streamed
-	if frames > 0 {
-		res.StreamOverlap = overlapSum / float64(frames)
-	}
-
-	// Modelled sweep: RWCP-like interconnect at sizes the in-process
-	// harness cannot reach.
-	m := sim.RWCP()
-	for _, g := range []int{64, 128, 256, 512} {
-		r, err := sim.SimulateDFB(sim.DFBConfig{
-			G: g, ImageW: 512, ImageH: 512, TileRows: 8,
-			T1Render:        8 * time.Second,
-			LinkBW:          m.LinkBW,
-			LinkLatency:     m.LinkLatency,
-			BlendSecPerByte: 2e-9,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Scales = append(res.Scales, DFBScale{
-			G:                 g,
-			BarrierCriticalMS: r.BarrierCritical.Seconds() * 1e3,
-			DFBCriticalMS:     r.DFBCritical.Seconds() * 1e3,
-			Overlap:           r.Overlap,
-			BarrierBytes:      r.BarrierBytes,
-			DFBBytes:          r.DFBBytes,
-		})
-	}
-
 	c.printf("\nTile-ownership compositing (DFB) vs binary-swap barrier\n")
 	c.printf("  live %d nodes %dx%d: bit-identical=%v  bytes %d vs %d (%.1fx fewer)\n",
 		p, w, h, res.BitIdentical, res.DFBBytes, res.SwapBytes,
 		float64(res.SwapBytes)/float64(max(res.DFBBytes, 1)))
-	c.printf("  live pipeline: %d tiles streamed, mean overlap %.2f\n",
-		res.TilesStreamed, res.StreamOverlap)
-	c.printf("  %-6s %-18s %-18s %-9s %s\n", "G", "barrier critical", "dfb critical", "overlap", "bytes ratio")
-	for _, s := range res.Scales {
-		c.printf("  %-6d %-18s %-18s %-9.2f %.1fx\n",
-			s.G,
-			fmt.Sprintf("%.2fms", s.BarrierCriticalMS),
-			fmt.Sprintf("%.3fms", s.DFBCriticalMS),
-			s.Overlap,
-			float64(s.BarrierBytes)/float64(max(s.DFBBytes, 1)))
-	}
 	return res, nil
 }
 

@@ -15,7 +15,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -51,39 +50,12 @@ type Frame struct {
 	CompositeTime time.Duration
 	// Group is the processor group that rendered this step.
 	Group int
-	// TilesStreamed counts the DFB tiles the group emitted for this
-	// step (each streamed to Options.OnTile before the frame was
-	// gathered); zero under binary-swap.
-	TilesStreamed int
-	// CompositeOverlap is the fraction of the group's tiles that were
-	// fully blended before their owner finished rendering — the
-	// render/composite overlap the tile-ownership compositor buys.
-	// Zero under binary-swap (the barrier forbids overlap).
-	CompositeOverlap float64
 }
-
-// Compositor selects the global-compositing algorithm.
-type Compositor int
-
-const (
-	// CompositorBinarySwap is the paper's barrier-structured binary
-	// swap: log2(g) pairwise exchange stages, all ranks in lockstep.
-	// Requires power-of-two group sizes.
-	CompositorBinarySwap Compositor = iota
-	// CompositorDFB is asynchronous tile-ownership compositing
-	// (composite.DFB): finished tiles route to fixed owners the moment
-	// the ray caster completes them, owners blend and emit per tile,
-	// and compositing overlaps rendering with no exchange barrier.
-	// Works for any group size; bit-identical to binary-swap on
-	// power-of-two groups.
-	CompositorDFB
-)
 
 // Options configures a pipelined run.
 type Options struct {
 	// P is the node count; L the group count. P must be divisible by
-	// L; under the default binary-swap compositor the group size P/L
-	// must additionally be a power of two.
+	// L, and the group size P/L must be a power of two (binary-swap).
 	P, L int
 	// ImageW, ImageH set the output size.
 	ImageW, ImageH int
@@ -130,22 +102,6 @@ type Options struct {
 	// (group id, group-local rank, step); a non-nil error crashes that
 	// node — the deterministic injection point for fault.NodeCrash.
 	FaultFn func(gid, rank, step int) error
-	// Compositor selects binary-swap (default) or the distributed
-	// framebuffer. DFB lifts binary-swap's power-of-two group-size
-	// requirement.
-	Compositor Compositor
-	// TileRows is the DFB tile height in scanlines (0 =
-	// composite.DefaultTileRows). Ignored under binary-swap.
-	TileRows int
-	// OnTile, when set with CompositorDFB, receives every completed
-	// tile the moment its owner blends it — before the step's frame is
-	// gathered, often before the group has finished rendering — so
-	// per-tile compression and delivery can start early. Calls are
-	// serialized across groups; the tile image is only valid for the
-	// duration of the call (it is recycled when the frame is
-	// gathered), so copy pixels that must outlive it. A non-nil error
-	// fails the step on the owning rank. Ignored under binary-swap.
-	OnTile func(gid, step int, t composite.Tile) error
 	// ContinueOnFailure turns a node failure into a group failure
 	// instead of a run failure: the dead node's group marks its
 	// remaining steps failed and the other groups keep rendering
@@ -162,11 +118,8 @@ func (o *Options) normalize(store volio.Store) error {
 		return fmt.Errorf("pipeline: invalid P=%d L=%d", o.P, o.L)
 	}
 	g := o.P / o.L
-	if o.Compositor == CompositorBinarySwap && g&(g-1) != 0 {
-		return fmt.Errorf("pipeline: group size %d not a power of two (binary-swap; CompositorDFB takes any size)", g)
-	}
-	if o.TileRows < 0 {
-		return fmt.Errorf("pipeline: tile rows %d", o.TileRows)
+	if g&(g-1) != 0 {
+		return fmt.Errorf("pipeline: group size %d not a power of two (binary-swap compositing)", g)
 	}
 	if o.ImageW < 1 || o.ImageH < 1 {
 		return fmt.Errorf("pipeline: image %dx%d", o.ImageW, o.ImageH)
@@ -254,32 +207,13 @@ func Run(store volio.Store, opt Options, sink Sink) (Metrics, error) {
 		}
 		turn.Broadcast()
 	}
-	if opt.OnTile != nil {
-		// Serialize the tile stream across groups (owners in different
-		// groups emit concurrently), mirroring the sink serialization:
-		// downstream per-tile compression sees one tile at a time.
-		var tileMu sync.Mutex
-		inner := opt.OnTile
-		opt.OnTile = func(gid, step int, t composite.Tile) error {
-			tileMu.Lock()
-			defer tileMu.Unlock()
-			return inner(gid, step, t)
-		}
-	}
-	var fetchH, renderH, compositeH, deliverH, overlapH *obs.Histogram
-	var tilesC *obs.Counter
+	var fetchH, renderH, compositeH, deliverH *obs.Histogram
 	if opt.Metrics != nil {
 		const help = "Per-(group,step) pipeline stage time in seconds."
 		fetchH = opt.Metrics.Histogram(`pipeline_stage_seconds{stage="fetch"}`, help)
 		renderH = opt.Metrics.Histogram(`pipeline_stage_seconds{stage="render"}`, help)
 		compositeH = opt.Metrics.Histogram(`pipeline_stage_seconds{stage="composite"}`, help)
 		deliverH = opt.Metrics.Histogram(`pipeline_stage_seconds{stage="deliver"}`, help)
-		if opt.Compositor == CompositorDFB {
-			overlapH = opt.Metrics.Histogram("pipeline_composite_overlap_fraction",
-				"Per-frame fraction of DFB tiles fully blended before the group finished rendering.")
-			tilesC = opt.Metrics.Counter("pipeline_tiles_streamed_total",
-				"DFB tiles streamed to their owners (and OnTile) ahead of frame gather.")
-		}
 	}
 	start := time.Now()
 
@@ -365,10 +299,6 @@ func Run(store volio.Store, opt Options, sink Sink) (Metrics, error) {
 				renderH.Observe(f.RenderTime.Seconds())
 				compositeH.Observe(f.CompositeTime.Seconds())
 				deliverH.ObserveDuration(time.Since(t0))
-				if f.TilesStreamed > 0 {
-					overlapH.Observe(f.CompositeOverlap)
-					tilesC.Add(int64(f.TilesStreamed))
-				}
 				return err
 			})
 			if err == nil {
@@ -466,7 +396,6 @@ func groupTrack(gid int) string { return fmt.Sprintf("group %d", gid) }
 var (
 	tagWork  = comm.RegisterTagClass("pipeline.work", 1)
 	tagPiece = comm.RegisterTagClass("pipeline.pieces", 1)
-	tagStats = comm.RegisterTagClass("pipeline.stats", 1)
 )
 
 // stepWork is the leader's per-step distribution payload: the node's
@@ -596,39 +525,6 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 	}
 	cam := work.cam
 
-	// Tile-ownership compositing starts BEFORE rendering: the DFB's
-	// drain goroutine blends fragments as the ray caster finishes
-	// scanline bands, so the composite span overlaps the render span on
-	// the leader's Gantt — the barrier-free overlap this compositor
-	// exists to buy.
-	useDFB := opt.Compositor == CompositorDFB && g > 1
-	var dfb *composite.DFB
-	var endDFBSpan func()
-	dfbDone := false
-	if useDFB {
-		var sink composite.TileSink
-		if opt.OnTile != nil {
-			sink = func(tl composite.Tile) error { return opt.OnTile(gid, step, tl) }
-		}
-		d, err := composite.NewDFB(gc, step, opt.ImageW, opt.ImageH, boxes, cam.Eye,
-			composite.DFBOptions{TileRows: opt.TileRows, OnTile: sink})
-		if err != nil {
-			return err
-		}
-		dfb = d
-		endDFBSpan = span("composite")
-		dfb.Start()
-		defer func() {
-			// Error paths (render failure, dead peer, bad payload) must
-			// not leak the drain goroutine: cancel wakes it, Wait joins
-			// it. Harmless after a normal Wait (dfbDone).
-			if !dfbDone {
-				dfb.Cancel()
-				dfb.Wait()
-			}
-		}()
-	}
-
 	endRender := span("render")
 	t1 := time.Now()
 	ropt := opt.Render
@@ -643,96 +539,20 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 		}
 		ropt.Accel = grid
 	}
-	var partial *img.RGBA
-	if useDFB {
-		// Stream tiles out mid-render: every finished scanline band is
-		// reported to the DFB, which posts fully rendered tiles to
-		// their owners while the rest of the frame is still tracing.
-		partial = img.NewRGBA(opt.ImageW, opt.ImageH)
-		ropt.TileDone = func(y0, y1 int) { dfb.RowsDone(partial, y0, y1) }
-		if _, err := render.RenderRegion(work.brick, work.brick.Region, cam, work.tf, ropt, partial); err != nil {
-			return err
-		}
-	} else {
-		p, _, err := render.RenderBrick(work.brick, cam, work.tf, ropt, opt.ImageW, opt.ImageH)
-		if err != nil {
-			return err
-		}
-		partial = p
+	partial, _, err := render.RenderBrick(work.brick, cam, work.tf, ropt, opt.ImageW, opt.ImageH)
+	if err != nil {
+		return err
 	}
 	renderTime := time.Since(t1)
 	endRender()
 
-	endComposite := endDFBSpan
-	if endComposite == nil {
-		endComposite = span("composite")
-	}
+	endComposite := span("composite")
 	t2 := time.Now()
 	var pieces []Piece
 	var assembled *img.RGBA
-	tilesStreamed := 0
-	overlapFrac := 0.0
 	if g == 1 {
 		pieces = []Piece{{Region: img.Region{X1: opt.ImageW, Y1: opt.ImageH}, Image: partial}}
 		assembled = partial
-	} else if useDFB {
-		// All tiles were posted by the render hook; drain the owned
-		// ones and account how many finished in rendering's shadow.
-		dfb.RenderDone()
-		tiles, werr := dfb.Wait()
-		dfbDone = true
-		if werr != nil {
-			return werr
-		}
-		img.PutRGBA(partial) // tiles hold carved copies
-		early, owned := dfb.Overlap()
-		parts := gc.Gather(0, tagStats.Tag(step, 0), [2]int{early, owned}, 16)
-		if opt.EmitPieces {
-			// Each rank's owned tiles are its pieces — already disjoint
-			// regions in final composited form.
-			if gc.Rank() != 0 {
-				ps := make([]Piece, len(tiles))
-				nb := 0
-				for i, tl := range tiles {
-					ps[i] = Piece{Region: tl.Region, Image: tl.Image}
-					nb += len(tl.Image.Pix) * 4
-				}
-				gc.Send(0, tagPiece.Tag(step, 0), ps, nb)
-				return nil
-			}
-			for _, tl := range tiles {
-				pieces = append(pieces, Piece{Region: tl.Region, Image: tl.Image})
-			}
-			for i := 1; i < g; i++ {
-				got, _ := gc.Recv(i, tagPiece.Tag(step, 0))
-				more, ok := got.([]Piece)
-				if !ok {
-					return fmt.Errorf("unexpected pieces payload %T", got)
-				}
-				pieces = append(pieces, more...)
-			}
-		} else {
-			full, err := composite.GatherTiles(gc, tiles, opt.ImageW, opt.ImageH, 0, step)
-			if err != nil {
-				return err
-			}
-			if gc.Rank() != 0 {
-				return nil
-			}
-			assembled = full
-		}
-		sumEarly := 0
-		for _, p := range parts {
-			if p == nil {
-				continue
-			}
-			v := p.([2]int)
-			sumEarly += v[0]
-			tilesStreamed += v[1]
-		}
-		if tilesStreamed > 0 {
-			overlapFrac = float64(sumEarly) / float64(tilesStreamed)
-		}
 	} else {
 		reg, piece, err := composite.BinarySwap(gc, partial, boxes, cam.Eye, step)
 		if err != nil {
@@ -767,14 +587,12 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 	endComposite()
 
 	f := &Frame{
-		Step:             step,
-		Pieces:           pieces,
-		InputTime:        inputTime,
-		RenderTime:       renderTime,
-		CompositeTime:    compositeTime,
-		Group:            gid,
-		TilesStreamed:    tilesStreamed,
-		CompositeOverlap: overlapFrac,
+		Step:          step,
+		Pieces:        pieces,
+		InputTime:     inputTime,
+		RenderTime:    renderTime,
+		CompositeTime: compositeTime,
+		Group:         gid,
 	}
 	if !opt.EmitPieces {
 		f.Image = assembled
@@ -828,6 +646,3 @@ func GroupSizes(p int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// IsPow2 reports whether v is a positive power of two.
-func IsPow2(v int) bool { return v > 0 && bits.OnesCount(uint(v)) == 1 }

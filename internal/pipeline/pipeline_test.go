@@ -28,6 +28,29 @@ func baseOptions(p, l int) Options {
 	return Options{P: p, L: l, ImageW: 32, ImageH: 32, TF: tf.Jet()}
 }
 
+// runFrames renders every step with the given options and returns the
+// delivered frames indexed by step.
+func runFrames(t *testing.T, steps int, opt Options) []*Frame {
+	t.Helper()
+	store := testStore(steps)
+	frames := make([]*Frame, steps)
+	var mu sync.Mutex
+	if _, err := Run(store, opt, func(f *Frame) error {
+		mu.Lock()
+		frames[f.Step] = f
+		mu.Unlock()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for s, f := range frames {
+		if f == nil {
+			t.Fatalf("step %d not delivered", s)
+		}
+	}
+	return frames
+}
+
 func TestOptionsValidation(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	store := testStore(2)
@@ -43,6 +66,10 @@ func TestOptionsValidation(t *testing.T) {
 		if _, err := Run(store, o, nil); err == nil {
 			t.Errorf("case %d accepted: %+v", i, o)
 		}
+	}
+	_, err := Run(store, Options{P: 6, L: 2, ImageW: 8, ImageH: 8, TF: tf.Jet()}, nil)
+	if want := "pipeline: group size 3 not a power of two (binary-swap compositing)"; err == nil || err.Error() != want {
+		t.Errorf("group of 3: err %v, want %q", err, want)
 	}
 }
 
@@ -266,20 +293,6 @@ func TestGroupSizes(t *testing.T) {
 	}
 }
 
-func TestIsPow2(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	for _, v := range []int{1, 2, 4, 1024} {
-		if !IsPow2(v) {
-			t.Fatalf("IsPow2(%d) = false", v)
-		}
-	}
-	for _, v := range []int{0, -2, 3, 6, 12} {
-		if IsPow2(v) {
-			t.Fatalf("IsPow2(%d) = true", v)
-		}
-	}
-}
-
 func TestCustomCamera(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	store := testStore(2)
@@ -379,7 +392,7 @@ func (p plainStore) Fetch(t int) (*vol.Volume, error) { return p.s.Fetch(t) }
 // The pipeline always renders through a per-brick macrocell grid. Its
 // frames must equal, float for float, what the grid-less ray caster
 // produces for the same bricks put through binary-swap and the final
-// gather by hand — under either compositor.
+// gather by hand.
 func TestAccelPipelineMatches(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const g = 4
@@ -424,14 +437,10 @@ func TestAccelPipelineMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, compositor := range []Compositor{CompositorBinarySwap, CompositorDFB} {
-		opt.Compositor = compositor
-		got := runFrames(t, 1, opt)[0].Image
-		for i := range want.Pix {
-			if got.Pix[i] != want.Pix[i] {
-				t.Fatalf("compositor %d: pixel float %d: pipeline %v != grid-less reference %v",
-					compositor, i, got.Pix[i], want.Pix[i])
-			}
+	got := runFrames(t, 1, opt)[0].Image
+	for i := range want.Pix {
+		if got.Pix[i] != want.Pix[i] {
+			t.Fatalf("pixel float %d: pipeline %v != grid-less reference %v", i, got.Pix[i], want.Pix[i])
 		}
 	}
 }

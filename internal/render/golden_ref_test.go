@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/accel"
@@ -380,7 +379,7 @@ func goldenViews(t *testing.T, d vol.Dims) map[string]*Camera {
 // volume through Render and 2/4/8 bricks with ghost 0/1/2 through
 // RenderRegion, under four orbits and an eye inside the volume, Over
 // with and without shading and MIP, 1/2/8 workers, with and without
-// the macrocell grid and the TileDone hook. The cached cell lookups may
+// the macrocell grid. The cached cell lookups may
 // evaluate a sample the per-sample lookups leapt over — one in a
 // transparent cell — but never skip one they evaluated.
 func TestGoldenMatchesCopyingReference(t *testing.T) {
@@ -441,47 +440,33 @@ func TestGoldenMatchesCopyingReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, workers := range []int{1, 2, 8} {
-						for _, hook := range []bool{false, true} {
-							name := fmt.Sprintf("%s/%s/%s/grid=%v/workers=%d/hook=%v", camName, tgt.name, m.name, useGrid, workers, hook)
-							o := opt
-							o.Workers = workers
-							var mu sync.Mutex
-							bands := 0
-							if hook {
-								o.TileDone = func(y0, y1 int) {
-									mu.Lock()
-									bands += y1 - y0
-									mu.Unlock()
-								}
-							}
-							var got *img.RGBA
-							var st Stats
-							if tgt.b == nil {
-								got, st, err = Render(v, cam, tf.Jet(), o, W, H)
-							} else {
-								got = img.NewRGBA(W, H)
-								st, err = RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), o, got)
-							}
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							for i := range want.Pix {
-								if got.Pix[i] != want.Pix[i] {
-									t.Fatalf("%s: pixel float %d = %v, reference %v", name, i, got.Pix[i], want.Pix[i])
-								}
-							}
-							if st.Rays != wantSt.Rays || st.Pixels != wantSt.Pixels || st.Samples < wantSt.Samples ||
-								st.Samples+st.Skipped != wantSt.Samples+wantSt.Skipped {
-								t.Fatalf("%s: stats %+v, reference %+v", name, st, wantSt)
-							}
-							if !useGrid && st != wantSt {
-								t.Fatalf("%s: grid-less stats %+v, reference %+v", name, st, wantSt)
-							}
-							extra += st.Samples - wantSt.Samples
-							if hook && bands != H {
-								t.Fatalf("%s: TileDone reported %d rows of %d", name, bands, H)
+						name := fmt.Sprintf("%s/%s/%s/grid=%v/workers=%d", camName, tgt.name, m.name, useGrid, workers)
+						o := opt
+						o.Workers = workers
+						var got *img.RGBA
+						var st Stats
+						if tgt.b == nil {
+							got, st, err = Render(v, cam, tf.Jet(), o, W, H)
+						} else {
+							got = img.NewRGBA(W, H)
+							st, err = RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), o, got)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						for i := range want.Pix {
+							if got.Pix[i] != want.Pix[i] {
+								t.Fatalf("%s: pixel float %d = %v, reference %v", name, i, got.Pix[i], want.Pix[i])
 							}
 						}
+						if st.Rays != wantSt.Rays || st.Pixels != wantSt.Pixels || st.Samples < wantSt.Samples ||
+							st.Samples+st.Skipped != wantSt.Samples+wantSt.Skipped {
+							t.Fatalf("%s: stats %+v, reference %+v", name, st, wantSt)
+						}
+						if !useGrid && st != wantSt {
+							t.Fatalf("%s: grid-less stats %+v, reference %+v", name, st, wantSt)
+						}
+						extra += st.Samples - wantSt.Samples
 					}
 				}
 			}

@@ -89,9 +89,6 @@ func renderTiled(rr *rowRenderer, workers int) Stats {
 					t0 = time.Now()
 				}
 				ts := rr.renderRows(y0, y1)
-				if done := rr.opt.TileDone; done != nil {
-					done(y0, y1)
-				}
 				if obs != nil {
 					obs(TileObservation{
 						Y0: y0, Y1: y1,

@@ -85,7 +85,7 @@ func TestParallelGoldenIdentical(t *testing.T) {
 // the grid-less serial caster writes: over orbit views, a camera
 // inside the volume (a clip corner behind the eye forces the
 // whole-image fallback), ghosted bricks whose grid is larger than the
-// region, shading, worker counts, a pixel mask and the TileDone hook.
+// region, shading, worker counts and a pixel mask.
 func TestAccelGoldenIdentical(t *testing.T) {
 	v := testVolume(t)
 	inside := &Camera{
@@ -149,38 +149,19 @@ func TestAccelGoldenIdentical(t *testing.T) {
 						}
 						opt.Accel = tgt.grid
 						for _, workers := range []int{1, 2, 8} {
-							for _, hook := range []bool{false, true} {
-								opt.Workers = workers
-								var mu sync.Mutex
-								seen := make([]int, H)
-								opt.TileDone = nil
-								if hook {
-									opt.TileDone = func(y0, y1 int) {
-										mu.Lock()
-										defer mu.Unlock()
-										for y := y0; y < y1; y++ {
-											seen[y]++
-										}
-									}
+							opt.Workers = workers
+							got := img.NewRGBA(W, H)
+							st, err := RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), opt, got)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for i := range ref.Pix {
+								if got.Pix[i] != ref.Pix[i] {
+									t.Fatalf("workers=%d: pixel float %d differs: %v vs %v", workers, i, got.Pix[i], ref.Pix[i])
 								}
-								got := img.NewRGBA(W, H)
-								st, err := RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), opt, got)
-								if err != nil {
-									t.Fatal(err)
-								}
-								for i := range ref.Pix {
-									if got.Pix[i] != ref.Pix[i] {
-										t.Fatalf("workers=%d hook=%v: pixel float %d differs: %v vs %v", workers, hook, i, got.Pix[i], ref.Pix[i])
-									}
-								}
-								if st.Pixels != refSt.Pixels || st.Samples > refSt.Samples || st.Rays > refSt.Rays {
-									t.Fatalf("workers=%d hook=%v: stats %+v against grid-less %+v", workers, hook, st, refSt)
-								}
-								for y, n := range seen {
-									if hook && n != 1 {
-										t.Fatalf("workers=%d: row %d reported done %d times", workers, y, n)
-									}
-								}
+							}
+							if st.Pixels != refSt.Pixels || st.Samples > refSt.Samples || st.Rays > refSt.Rays {
+								t.Fatalf("workers=%d: stats %+v against grid-less %+v", workers, st, refSt)
 							}
 						}
 					})
@@ -191,8 +172,7 @@ func TestAccelGoldenIdentical(t *testing.T) {
 }
 
 // A brick the transfer function leaves wholly transparent casts no ray
-// and writes no pixel, yet still reports every scanline band exactly
-// once — the DFB compositor counts on the bands to release its tiles.
+// and writes no pixel.
 func TestAccelAllEmptyBrick(t *testing.T) {
 	v := vol.MustNew(vol.Dims{NX: 20, NY: 24, NZ: 17})
 	grid, err := accel.Build(wholeBrick(t, v), 8)
@@ -208,15 +188,6 @@ func TestAccelAllEmptyBrick(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Accel = grid
 		opt.Workers = workers
-		var mu sync.Mutex
-		seen := make([]int, H)
-		opt.TileDone = func(y0, y1 int) {
-			mu.Lock()
-			defer mu.Unlock()
-			for y := y0; y < y1; y++ {
-				seen[y]++
-			}
-		}
 		dst := img.NewRGBA(W, H)
 		for i := range dst.Pix {
 			dst.Pix[i] = 0.25
@@ -227,11 +198,6 @@ func TestAccelAllEmptyBrick(t *testing.T) {
 		}
 		if st != (Stats{}) {
 			t.Fatalf("workers=%d: all-empty brick did work: %+v", workers, st)
-		}
-		for y, n := range seen {
-			if n != 1 {
-				t.Fatalf("workers=%d: row %d reported done %d times", workers, y, n)
-			}
 		}
 		for i, p := range dst.Pix {
 			if p != 0.25 {
@@ -328,53 +294,6 @@ func TestWorkersValidation(t *testing.T) {
 		if im.Pix[i] != ref.Pix[i] {
 			t.Fatalf("pixel float %d differs with worker surplus", i)
 		}
-	}
-}
-
-// TileDone must report every scanline exactly once — serial and
-// parallel — and must not perturb the rendered pixels (the DFB
-// compositor ships tiles straight off this callback).
-func TestTileDoneCoverageAndIdentity(t *testing.T) {
-	v := testVolume(t)
-	cam, _ := NewOrbitCamera(v.Dims, 0.5, 0.3, 1.6)
-	const W, H = 32, 33
-	plain := DefaultOptions()
-	plain.Workers = 1
-	ref := img.NewRGBA(W, H)
-	if _, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), plain, ref); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var mu sync.Mutex
-			seen := make([]int, H)
-			opt := DefaultOptions()
-			opt.Workers = workers
-			opt.TileDone = func(y0, y1 int) {
-				mu.Lock()
-				defer mu.Unlock()
-				if y0 < 0 || y1 > H || y0 >= y1 {
-					t.Errorf("bad band [%d,%d)", y0, y1)
-				}
-				for y := y0; y < y1; y++ {
-					seen[y]++
-				}
-			}
-			got := img.NewRGBA(W, H)
-			if _, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), opt, got); err != nil {
-				t.Fatal(err)
-			}
-			for y, n := range seen {
-				if n != 1 {
-					t.Fatalf("row %d reported done %d times", y, n)
-				}
-			}
-			for i := range ref.Pix {
-				if got.Pix[i] != ref.Pix[i] {
-					t.Fatalf("pixel float %d differs with TileDone hook", i)
-				}
-			}
-		})
 	}
 }
 

@@ -66,17 +66,6 @@ type Options struct {
 	// true pixels; the others are left untouched in dst. Used by
 	// differential (temporal-reuse) rendering.
 	PixelMask []bool
-	// TileDone, when set, is called once per scanline band [y0,y1) as
-	// soon as every pixel in it has been written — the completion hook
-	// the distributed-framebuffer compositor uses to ship finished
-	// tiles while the rest of the frame is still rendering. Bands
-	// partition the image and are each reported exactly once, in
-	// arbitrary order; with Workers > 1 the calls come concurrently
-	// from worker goroutines. Purely observational: output is
-	// bit-identical with or without the hook (the serial path renders
-	// in bands of the same size the parallel tiler uses, and pixels
-	// are independent).
-	TileDone func(y0, y1 int)
 }
 
 // DefaultOptions are the renderer settings used across the paper
@@ -156,23 +145,6 @@ func RenderRegion(b *vol.Brick, region vol.Box, cam *Camera, t *tf.TF, opt Optio
 	}
 	if opt.Workers > 1 && dst.H > 1 {
 		return renderTiled(rr, opt.Workers), nil
-	}
-	if opt.TileDone != nil {
-		// Serial path with a completion hook: render in the same
-		// scanline bands the parallel tiler uses so tiles stream out as
-		// they finish. Pixels are independent, so chunking the row loop
-		// leaves the output bit-identical to one full renderRows pass.
-		var st Stats
-		for y0 := 0; y0 < dst.H; y0 += tileRows {
-			y1 := min(y0+tileRows, dst.H)
-			ts := rr.renderRows(y0, y1)
-			st.Rays += ts.Rays
-			st.Samples += ts.Samples
-			st.Pixels += ts.Pixels
-			st.Skipped += ts.Skipped
-			opt.TileDone(y0, y1)
-		}
-		return st, nil
 	}
 	return rr.renderRows(0, dst.H), nil
 }
