@@ -1,10 +1,8 @@
 // Acceleration: the §7.1 "preprocessing hints" extensions in action.
-// Renders a short jet animation three ways and compares the work done:
+// Renders a short jet animation two ways and compares the work done:
 //
 //  1. plain ray casting,
-//  2. with macrocell empty-space skipping (identical images),
-//  3. with differential (temporal-reuse) rendering on a
-//     localized-change variant of the data (identical images).
+//  2. with macrocell empty-space skipping (identical images).
 //
 // go run ./examples/acceleration
 package main
@@ -18,7 +16,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/metrics"
 	"repro/internal/render"
-	"repro/internal/temporal"
 	"repro/internal/tf"
 	"repro/internal/volio"
 )
@@ -32,7 +29,7 @@ func main() {
 	tfn := tf.Jet()
 	cam := (*render.Camera)(nil)
 
-	table := metrics.NewTable("mode", "time", "rays", "samples", "skipped/reused")
+	table := metrics.NewTable("mode", "time", "rays", "samples", "skipped")
 
 	// 1. Plain.
 	var plainTime time.Duration
@@ -90,30 +87,9 @@ func main() {
 	// Rays falls because rays are clipped to the non-empty macrocells;
 	// skipped counts only the samples leapt along the rays still cast.
 	table.Row("empty-space skip", accelTime.Round(time.Millisecond).String(),
-		fmt.Sprint(accelRays), fmt.Sprint(accelSamples), fmt.Sprintf("%d skipped", skipped))
-
-	// 3. Differential rendering across the animation.
-	cache := temporal.New()
-	var diffTime time.Duration
-	var diffSamples, reused int
-	for s := 0; s < steps; s++ {
-		v, err := store.Fetch(20 + s)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t0 := time.Now()
-		_, st, err := cache.Render(v, cam, tfn, render.DefaultOptions(), size, size)
-		if err != nil {
-			log.Fatal(err)
-		}
-		diffTime += time.Since(t0)
-		diffSamples += st.Samples
-		reused += st.ReusedPixels
-	}
-	table.Row("differential", diffTime.Round(time.Millisecond).String(),
-		"-", fmt.Sprint(diffSamples), fmt.Sprintf("%d px reused", reused))
+		fmt.Sprint(accelRays), fmt.Sprint(accelSamples), fmt.Sprint(skipped))
 
 	fmt.Printf("%d frames of the jet at %dx%d:\n\n%s\n", steps, size, size, table.String())
-	fmt.Println("all three modes produce identical images (see internal/render and")
-	fmt.Println("internal/temporal tests for the bit-exactness proofs)")
+	fmt.Println("both modes produce identical images (see the internal/render tests")
+	fmt.Println("for the bit-exactness proofs)")
 }

@@ -229,8 +229,8 @@ type World struct {
 	aborted atomic.Bool
 	// failed[r] marks world rank r dead; waits on it fail fast.
 	failed []atomic.Bool
-	// recvTimeout bounds every Recv (0 = wait forever). Set before the
-	// rank goroutines start (RunWith / SetRecvTimeout).
+	// recvTimeout bounds every Recv (0 = wait forever). Set by RunWith
+	// before the rank goroutines start.
 	recvTimeout time.Duration
 
 	gbMu  sync.Mutex
@@ -271,11 +271,6 @@ func allRanks(p int) []int {
 	}
 	return ranks
 }
-
-// SetRecvTimeout bounds every receive in the world; a rank waiting
-// longer observes ErrRecvTimeout. Call before the rank goroutines
-// start (RunWith does this for you).
-func (w *World) SetRecvTimeout(d time.Duration) { w.recvTimeout = d }
 
 // Abort wakes every rank blocked in Recv or Barrier; they observe
 // ErrAborted. Called automatically by Run when a rank fails.

@@ -213,10 +213,9 @@ func BinarySwap(c *comm.Comm, im *img.RGBA, boxes []vol.Box, eye render.Vec3, st
 	return cur.reg, cur.im, nil
 }
 
-// subRGBAPooled carves region r of src into a pool-backed image —
-// the allocation-free twin of img.RGBA.SubRGBA. The copy overwrites
-// every pixel, so the pooled buffer needs no clearing beyond what
-// GetRGBA provides.
+// subRGBAPooled carves region r of src into a pool-backed image of
+// r's size, without allocating. The copy overwrites every pixel, so
+// the pooled buffer needs no clearing beyond what GetRGBA provides.
 func subRGBAPooled(src *img.RGBA, r img.Region) (*img.RGBA, error) {
 	if r.X0 < 0 || r.Y0 < 0 || r.X1 > src.W || r.Y1 > src.H || r.Empty() {
 		return nil, fmt.Errorf("composite: region %v outside image %dx%d", r, src.W, src.H)

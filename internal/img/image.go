@@ -140,7 +140,7 @@ func (im *RGBA) ToFrame(bg float32) *Frame {
 }
 
 // ToFrameInto is ToFrame writing into dst, which must match the image
-// dimensions; it returns dst. Paired with GetFrame/PutFrame this
+// dimensions; it returns dst. Paired with GetFrameRaw/PutFrame this
 // keeps the per-frame encode path allocation-free.
 func (im *RGBA) ToFrameInto(dst *Frame, bg float32) *Frame {
 	if dst.W != im.W || dst.H != im.H {
@@ -322,36 +322,4 @@ func (f *Frame) SavePNG(path string) error {
 		return err
 	}
 	return fp.Close()
-}
-
-// WritePPM encodes the frame as binary PPM (P6), a zero-dependency
-// format convenient for quick inspection.
-func (f *Frame) WritePPM(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P6\n%d %d\n255\n", f.W, f.H); err != nil {
-		return err
-	}
-	_, err := w.Write(f.Pix)
-	return err
-}
-
-// ReadPPM parses a binary PPM (P6) stream produced by WritePPM.
-func ReadPPM(r io.Reader) (*Frame, error) {
-	var magic string
-	var w, h, maxv int
-	if _, err := fmt.Fscan(r, &magic, &w, &h, &maxv); err != nil {
-		return nil, fmt.Errorf("img: bad PPM header: %w", err)
-	}
-	if magic != "P6" || maxv != 255 || w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("img: unsupported PPM (%s, max %d, %dx%d)", magic, maxv, w, h)
-	}
-	// Consume the single whitespace byte after the header.
-	var nl [1]byte
-	if _, err := io.ReadFull(r, nl[:]); err != nil {
-		return nil, err
-	}
-	f := NewFrame(w, h)
-	if _, err := io.ReadFull(r, f.Pix); err != nil {
-		return nil, fmt.Errorf("img: short PPM pixel data: %w", err)
-	}
-	return f, nil
 }

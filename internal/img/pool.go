@@ -81,22 +81,8 @@ func PutRGBA(im *RGBA) {
 	rgbaPool.Put(im)
 }
 
-// GetFrame returns a cleared (black) w x h byte frame from the pool.
-func GetFrame(w, h int) *Frame {
-	need := w * h * 3
-	if f, ok := framePool.Get().(*Frame); ok && cap(f.Pix) >= need {
-		poolHits.Add(1)
-		f.W, f.H = w, h
-		f.Pix = f.Pix[:need]
-		clear(f.Pix)
-		return f
-	}
-	poolMisses.Add(1)
-	return NewFrame(w, h)
-}
-
-// GetFrameRaw is GetFrame without the clear: pixel contents are
-// undefined, for callers that overwrite every pixel.
+// GetFrameRaw returns a w x h byte frame from the pool. Pixel
+// contents are undefined, for callers that overwrite every pixel.
 func GetFrameRaw(w, h int) *Frame {
 	need := w * h * 3
 	if f, ok := framePool.Get().(*Frame); ok && cap(f.Pix) >= need {
@@ -109,8 +95,8 @@ func GetFrameRaw(w, h int) *Frame {
 	return NewFrame(w, h)
 }
 
-// PutFrame recycles a frame obtained from GetFrame (or NewFrame). The
-// caller must not touch f afterwards; nil is ignored.
+// PutFrame recycles a frame obtained from GetFrameRaw (or NewFrame).
+// The caller must not touch f afterwards; nil is ignored.
 func PutFrame(f *Frame) {
 	if f == nil || cap(f.Pix) == 0 {
 		return

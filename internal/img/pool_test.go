@@ -23,14 +23,6 @@ func TestPoolReuseAndClear(t *testing.T) {
 		}
 	}
 	PutRGBA(im2)
-
-	f := GetFrame(4, 4)
-	for i, p := range f.Pix {
-		if p != 0 {
-			t.Fatalf("frame byte %d not cleared: %v", i, p)
-		}
-	}
-	PutFrame(f)
 }
 
 func TestPoolNilAndOversize(t *testing.T) {

@@ -2,21 +2,6 @@ package img
 
 import "fmt"
 
-// SubRGBA extracts region r of the float image as a standalone image;
-// used by the binary-swap compositor to carve exchange halves.
-func (im *RGBA) SubRGBA(r Region) (*RGBA, error) {
-	if r.X0 < 0 || r.Y0 < 0 || r.X1 > im.W || r.Y1 > im.H || r.Empty() {
-		return nil, fmt.Errorf("img: region %v outside image %dx%d", r, im.W, im.H)
-	}
-	s := NewRGBA(r.W(), r.H())
-	for y := 0; y < s.H; y++ {
-		src := ((r.Y0+y)*im.W + r.X0) * 4
-		dst := y * s.W * 4
-		copy(s.Pix[dst:dst+s.W*4], im.Pix[src:src+s.W*4])
-	}
-	return s, nil
-}
-
 // BlitRGBA copies sub into im at region r; sub must match r's extents.
 func (im *RGBA) BlitRGBA(sub *RGBA, r Region) error {
 	if sub.W != r.W() || sub.H != r.H() {

@@ -1,130 +1,48 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"sync"
-)
+import "sync"
 
-// Level orders log severities.
-type Level int32
-
-// Levels, least to most severe. LevelOff silences a logger entirely.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-	LevelOff
-)
-
-// String names the level.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	}
-	return "off"
-}
-
-var (
-	logMu  sync.Mutex
-	logOut io.Writer // nil discards — components are silent by default
-)
-
-// SetLogOutput directs the package-default log sink (nil discards,
-// the default — matching the pre-observability behaviour where
-// diagnostics were off unless a Logf callback was installed).
-func SetLogOutput(w io.Writer) {
-	logMu.Lock()
-	logOut = w
-	logMu.Unlock()
-}
-
-// Logger is a leveled, component-prefixed logger. The zero sink
-// discards; SetFunc routes lines to a printf-style callback (the shim
-// for the legacy Logf fields), otherwise lines go to the package
-// output. Safe for concurrent use and safe on a nil receiver.
+// Logger is a component-prefixed logger. It is silent until SetFunc
+// routes its lines to a printf-style callback. Safe for concurrent use
+// and safe on a nil receiver.
 type Logger struct {
 	component string
 
-	mu    sync.Mutex
-	level Level
-	fn    func(format string, args ...any)
-	fnSet bool // distinguishes SetFunc(nil) = discard from "unset"
+	mu sync.Mutex
+	fn func(format string, args ...any)
 }
 
-// NewLogger creates a logger for a component at LevelInfo.
+// NewLogger creates a logger for a component.
 func NewLogger(component string) *Logger {
-	return &Logger{component: component, level: LevelInfo}
+	return &Logger{component: component}
 }
 
-// SetLevel sets the minimum level emitted.
-func (l *Logger) SetLevel(lv Level) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.level = lv
-	l.mu.Unlock()
-}
-
-// SetFunc routes this logger's lines to a printf-style callback — the
-// compatibility shim behind the legacy SetLogf/Config.Logf surfaces.
-// A nil callback silences the logger (the legacy contract); lines
-// revert to the package output only for loggers that never called
-// SetFunc.
+// SetFunc routes this logger's lines to a printf-style callback; the
+// SetLogf and Config.Logf surfaces call it. A nil callback silences
+// the logger.
 func (l *Logger) SetFunc(f func(format string, args ...any)) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	l.fn = f
-	l.fnSet = true
 	l.mu.Unlock()
 }
 
-// Debugf logs at LevelDebug.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args...) }
+// Infof logs a line prefixed with the component.
+func (l *Logger) Infof(format string, args ...any) { l.logf("", format, args...) }
 
-// Infof logs at LevelInfo.
-func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args...) }
+// Warnf logs a line prefixed with the component and a "[warn]" tag.
+func (l *Logger) Warnf(format string, args ...any) { l.logf("[warn] ", format, args...) }
 
-// Warnf logs at LevelWarn.
-func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, args...) }
-
-// Errorf logs at LevelError.
-func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args...) }
-
-func (l *Logger) logf(lv Level, format string, args ...any) {
+func (l *Logger) logf(tag, format string, args ...any) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	level, fn, fnSet := l.level, l.fn, l.fnSet
+	fn := l.fn
 	l.mu.Unlock()
-	if lv < level {
-		return
-	}
-	prefix := l.component + ": "
-	if lv == LevelWarn || lv == LevelError {
-		prefix += "[" + lv.String() + "] "
-	}
-	if fnSet {
-		if fn != nil {
-			fn(prefix+format, args...)
-		}
-		return
-	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	if logOut != nil {
-		fmt.Fprintf(logOut, prefix+format+"\n", args...)
+	if fn != nil {
+		fn(l.component+": "+tag+format, args...)
 	}
 }

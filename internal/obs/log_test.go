@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -12,61 +11,34 @@ func TestLoggerLevelsAndPrefix(t *testing.T) {
 	l.SetFunc(func(format string, args ...any) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	})
-	l.Debugf("hidden %d", 1) // below default LevelInfo
 	l.Infof("peer %d connected", 2)
 	l.Warnf("drop %d", 3)
 	want := []string{"daemon: peer 2 connected", "daemon: [warn] drop 3"}
 	if len(lines) != len(want) || lines[0] != want[0] || lines[1] != want[1] {
 		t.Fatalf("lines = %q, want %q", lines, want)
 	}
-
-	lines = nil
-	l.SetLevel(LevelDebug)
-	l.Debugf("now visible")
-	if len(lines) != 1 || lines[0] != "daemon: now visible" {
-		t.Fatalf("debug lines = %q", lines)
-	}
-
-	lines = nil
-	l.SetLevel(LevelOff)
-	l.Errorf("silenced")
-	if len(lines) != 0 {
-		t.Fatalf("LevelOff leaked %q", lines)
-	}
 }
 
-// TestSetFuncNilSilences pins the legacy SetLogf(nil) contract: a
-// logger whose callback was explicitly cleared stays silent rather
-// than falling back to the package output.
+// TestSetFuncNilSilences pins the SetLogf(nil) contract: a logger
+// whose callback was explicitly cleared stays silent.
 func TestSetFuncNilSilences(t *testing.T) {
-	var pkg strings.Builder
-	SetLogOutput(&pkg)
-	defer SetLogOutput(nil)
-
+	var lines []string
 	l := NewLogger("broker")
-	l.Infof("to package output")
+	l.SetFunc(func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	})
+	l.Infof("kept")
 	l.SetFunc(nil)
 	l.Infof("dropped")
-	if got := pkg.String(); got != "broker: to package output\n" {
-		t.Fatalf("package output = %q", got)
+	l.Warnf("dropped")
+	if len(lines) != 1 || lines[0] != "broker: kept" {
+		t.Fatalf("lines = %q", lines)
 	}
 }
 
 func TestNilLoggerIsNoOp(t *testing.T) {
 	var l *Logger
-	l.SetLevel(LevelDebug)
-	l.SetFunc(nil)
+	l.SetFunc(func(string, ...any) { t.Fatal("nil logger called its callback") })
 	l.Infof("nothing")
-	l.Errorf("nothing")
-}
-
-func TestLevelString(t *testing.T) {
-	for lv, want := range map[Level]string{
-		LevelDebug: "debug", LevelInfo: "info", LevelWarn: "warn",
-		LevelError: "error", LevelOff: "off",
-	} {
-		if lv.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", lv, lv.String(), want)
-		}
-	}
+	l.Warnf("nothing")
 }

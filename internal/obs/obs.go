@@ -1,7 +1,7 @@
 // Package obs is the unified observability layer: a span-based tracer
 // that exports Chrome trace-event JSON (loadable in chrome://tracing
 // and Perfetto), a central metrics registry with Prometheus text-format
-// exposition, a leveled component logger, and an opt-in HTTP debug
+// exposition, a component-prefixed logger, and an opt-in HTTP debug
 // server that mounts all three.
 //
 // The tracer is clock-agnostic: spans carry timestamps as offsets from

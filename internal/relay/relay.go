@@ -266,9 +266,6 @@ func (n *Node) Stats() *NodeStats { return &n.stats }
 // configured).
 func (n *Node) Provenance() *provenance.Log { return n.cfg.Prov }
 
-// Logger exposes the node's component logger.
-func (n *Node) Logger() *obs.Logger { return n.log }
-
 // Parent reports the currently attached upstream address ("" while
 // orphaned).
 func (n *Node) Parent() string {

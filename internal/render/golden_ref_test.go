@@ -235,9 +235,6 @@ func (rr *refRowRenderer) renderRows(y0, y1 int) Stats {
 	emptyCell := rr.emptyCell
 	for py := max(y0, rr.rect.Y0); py < min(y1, rr.rect.Y1); py++ {
 		for px := rr.rect.X0; px < rr.rect.X1; px++ {
-			if opt.PixelMask != nil && !opt.PixelMask[py*w+px] {
-				continue
-			}
 			orig, dir := cam.Ray(px, py, w, h)
 			tn, tfar, ok := IntersectBox(orig, dir, rr.box)
 			if !ok || tfar <= tn {

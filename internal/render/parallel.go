@@ -49,11 +49,11 @@ func loadTileObserver() func(TileObservation) {
 
 // renderTiled runs the row renderer over the image with a pool of
 // workers pulling scanline tiles from a shared atomic cursor —
-// dynamic scheduling, so a tile that early-terminates or is masked
-// off never idles a core. Each pixel is written by exactly one worker
-// with the same arithmetic as the serial loop, so output is
-// bit-identical to renderRows(0, h); per-tile Stats are summed, which
-// is order-independent.
+// dynamic scheduling, so a tile that early-terminates never idles a
+// core. Each pixel is written by exactly one worker with the same
+// arithmetic as the serial loop, so output is bit-identical to
+// renderRows(0, h); per-tile Stats are summed, which is
+// order-independent.
 func renderTiled(rr *rowRenderer, workers int) Stats {
 	h := rr.dst.H
 	rows := tileRows

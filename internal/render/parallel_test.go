@@ -16,8 +16,7 @@ import (
 // The tentpole invariant of the multicore engine: the parallel tile
 // renderer must be byte-identical to the serial path for every
 // supported option combination — Over/MIP, shading on/off, with and
-// without empty-space acceleration, with and without a differential
-// pixel mask.
+// without empty-space acceleration.
 func TestParallelGoldenIdentical(t *testing.T) {
 	v := testVolume(t)
 	cam, err := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)
@@ -29,52 +28,44 @@ func TestParallelGoldenIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const W, H = 48, 48
-	mask := make([]bool, W*H)
-	for i := range mask {
-		// A deliberately irregular mask: sparse rows and a dense block.
-		mask[i] = i%7 == 0 || (i/W > H/2 && i%3 != 0)
-	}
 	for _, mode := range []Mode{ModeOver, ModeMIP} {
 		for _, shading := range []bool{false, true} {
 			for _, useAccel := range []bool{false, true} {
-				for _, useMask := range []bool{false, true} {
-					name := fmt.Sprintf("mode=%d/shading=%v/accel=%v/mask=%v", mode, shading, useAccel, useMask)
-					t.Run(name, func(t *testing.T) {
-						opt := DefaultOptions()
-						opt.Mode = mode
-						opt.Shading = shading
-						if useAccel {
-							opt.Accel = grid
-						}
-						if useMask {
-							opt.PixelMask = mask
-						}
-						serial := opt
-						serial.Workers = 1
-						ref := img.NewRGBA(W, H)
-						refSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), serial, ref)
+				// The caster no longer takes a pixel mask; the "mask=false"
+				// suffix keeps the subtest names stable.
+				name := fmt.Sprintf("mode=%d/shading=%v/accel=%v/mask=false", mode, shading, useAccel)
+				t.Run(name, func(t *testing.T) {
+					opt := DefaultOptions()
+					opt.Mode = mode
+					opt.Shading = shading
+					if useAccel {
+						opt.Accel = grid
+					}
+					serial := opt
+					serial.Workers = 1
+					ref := img.NewRGBA(W, H)
+					refSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), serial, ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{2, 3, 4, 7} {
+						par := opt
+						par.Workers = workers
+						got := img.NewRGBA(W, H)
+						gotSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), par, got)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for _, workers := range []int{2, 3, 4, 7} {
-							par := opt
-							par.Workers = workers
-							got := img.NewRGBA(W, H)
-							gotSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), par, got)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for i := range ref.Pix {
-								if ref.Pix[i] != got.Pix[i] {
-									t.Fatalf("workers=%d: pixel float %d differs: %v vs %v", workers, i, got.Pix[i], ref.Pix[i])
-								}
-							}
-							if gotSt != refSt {
-								t.Fatalf("workers=%d: stats %+v != serial %+v", workers, gotSt, refSt)
+						for i := range ref.Pix {
+							if ref.Pix[i] != got.Pix[i] {
+								t.Fatalf("workers=%d: pixel float %d differs: %v vs %v", workers, i, got.Pix[i], ref.Pix[i])
 							}
 						}
-					})
-				}
+						if gotSt != refSt {
+							t.Fatalf("workers=%d: stats %+v != serial %+v", workers, gotSt, refSt)
+						}
+					}
+				})
 			}
 		}
 	}
@@ -85,7 +76,7 @@ func TestParallelGoldenIdentical(t *testing.T) {
 // the grid-less serial caster writes: over orbit views, a camera
 // inside the volume (a clip corner behind the eye forces the
 // whole-image fallback), ghosted bricks whose grid is larger than the
-// region, shading, worker counts and a pixel mask.
+// region, shading and worker counts.
 func TestAccelGoldenIdentical(t *testing.T) {
 	v := testVolume(t)
 	inside := &Camera{
@@ -127,45 +118,38 @@ func TestAccelGoldenIdentical(t *testing.T) {
 		targets[fmt.Sprintf("brick%d", i)] = target{br, br.Region, g}
 	}
 	const W, H = 48, 40
-	mask := make([]bool, W*H)
-	for i := range mask {
-		mask[i] = i%5 != 0
-	}
 	for camName, cam := range cams {
 		for tgtName, tgt := range targets {
 			for _, shading := range []bool{false, true} {
-				for _, useMask := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/%s/shading=%v/mask=%v", camName, tgtName, shading, useMask), func(t *testing.T) {
-						opt := DefaultOptions()
-						opt.Shading = shading
-						opt.Workers = 1
-						if useMask {
-							opt.PixelMask = mask
-						}
-						ref := img.NewRGBA(W, H)
-						refSt, err := RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), opt, ref)
+				// "mask=false" keeps the subtest names stable (see
+				// TestParallelGoldenIdentical).
+				t.Run(fmt.Sprintf("%s/%s/shading=%v/mask=false", camName, tgtName, shading), func(t *testing.T) {
+					opt := DefaultOptions()
+					opt.Shading = shading
+					opt.Workers = 1
+					ref := img.NewRGBA(W, H)
+					refSt, err := RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), opt, ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.Accel = tgt.grid
+					for _, workers := range []int{1, 2, 8} {
+						opt.Workers = workers
+						got := img.NewRGBA(W, H)
+						st, err := RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), opt, got)
 						if err != nil {
 							t.Fatal(err)
 						}
-						opt.Accel = tgt.grid
-						for _, workers := range []int{1, 2, 8} {
-							opt.Workers = workers
-							got := img.NewRGBA(W, H)
-							st, err := RenderRegion(tgt.b, tgt.region, cam, tf.Jet(), opt, got)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for i := range ref.Pix {
-								if got.Pix[i] != ref.Pix[i] {
-									t.Fatalf("workers=%d: pixel float %d differs: %v vs %v", workers, i, got.Pix[i], ref.Pix[i])
-								}
-							}
-							if st.Pixels != refSt.Pixels || st.Samples > refSt.Samples || st.Rays > refSt.Rays {
-								t.Fatalf("workers=%d: stats %+v against grid-less %+v", workers, st, refSt)
+						for i := range ref.Pix {
+							if got.Pix[i] != ref.Pix[i] {
+								t.Fatalf("workers=%d: pixel float %d differs: %v vs %v", workers, i, got.Pix[i], ref.Pix[i])
 							}
 						}
-					})
-				}
+						if st.Pixels != refSt.Pixels || st.Samples > refSt.Samples || st.Rays > refSt.Rays {
+							t.Fatalf("workers=%d: stats %+v against grid-less %+v", workers, st, refSt)
+						}
+					}
+				})
 			}
 		}
 	}

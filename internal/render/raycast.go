@@ -35,11 +35,9 @@ type Options struct {
 	// negative values are rejected by validation. Output is
 	// bit-identical for every worker count — tiles partition the
 	// image and each pixel is computed by exactly one worker with the
-	// same arithmetic as the serial loop. PixelMask differential
-	// rendering composes with parallel tiles: masked-off pixels are
-	// skipped inside each tile, and the dynamic tile queue keeps
-	// workers busy when the mask (or early termination) makes some
-	// tiles nearly free.
+	// same arithmetic as the serial loop. The dynamic tile queue
+	// keeps workers busy when early termination makes some tiles
+	// nearly free.
 	Workers int
 	// Shading enables gradient (Phong diffuse) shading (ModeOver
 	// only).
@@ -62,10 +60,6 @@ type Options struct {
 	// empty cell under the transfer function is dropped, so dense data
 	// runs the plain loop.
 	Accel *accel.Grid
-	// PixelMask, when set (length W*H), restricts rendering to the
-	// true pixels; the others are left untouched in dst. Used by
-	// differential (temporal-reuse) rendering.
-	PixelMask []bool
 }
 
 // DefaultOptions are the renderer settings used across the paper
@@ -123,9 +117,6 @@ func RenderRegion(b *vol.Brick, region vol.Box, cam *Camera, t *tf.TF, opt Optio
 		if err := cam.Finish(); err != nil {
 			return Stats{}, err
 		}
-	}
-	if opt.PixelMask != nil && len(opt.PixelMask) != dst.W*dst.H {
-		return Stats{}, fmt.Errorf("render: pixel mask of %d entries for %dx%d image", len(opt.PixelMask), dst.W, dst.H)
 	}
 	rr := &rowRenderer{
 		b:         b,
@@ -244,9 +235,6 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 	grid, emptyCell := opt.Accel, rr.emptyCell
 	for py := max(y0, rr.rect.Y0); py < min(y1, rr.rect.Y1); py++ {
 		for px := rr.rect.X0; px < rr.rect.X1; px++ {
-			if opt.PixelMask != nil && !opt.PixelMask[py*w+px] {
-				continue
-			}
 			orig, dir := cam.Ray(px, py, w, h)
 			tn, tfar, ok := IntersectBox(orig, dir, rr.box)
 			if !ok || tfar <= tn {

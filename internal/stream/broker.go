@@ -163,8 +163,8 @@ func NewBroker(cfg Config) *Broker {
 		traces:    map[uint32]*transport.TraceCtx{},
 	}
 	if cfg.Logf != nil {
-		// Compatibility shim: Config.Logf routes the leveled component
-		// logger to the caller's printf sink.
+		// Config.Logf routes the component logger to the caller's
+		// printf sink.
 		b.log.SetFunc(cfg.Logf)
 	}
 	if cfg.Guard != nil {
@@ -244,9 +244,6 @@ func (b *Broker) Stats() *BrokerStats { return &b.stats }
 
 // Cache exposes the encode cache (stats: hits, misses, evictions).
 func (b *Broker) Cache() *EncodeCache { return b.cache }
-
-// Logger exposes the broker's component logger.
-func (b *Broker) Logger() *obs.Logger { return b.log }
 
 // SetControlForward installs a sink that receives every user-control
 // message from display clients in addition to any connected renderers.

@@ -153,9 +153,8 @@ type Config struct {
 	// ladder — quality floor, narrowed pacers, paused cache fills,
 	// shedding the newest non-relay clients. nil = unguarded.
 	Guard *guard.Governor
-	// Logf receives diagnostics; nil silences them. It is a
-	// compatibility shim over the broker's leveled obs.Logger — see
-	// Broker.Logger for level control.
+	// Logf receives diagnostics; nil silences them. It routes the
+	// broker's obs.Logger.
 	Logf func(format string, args ...any)
 }
 

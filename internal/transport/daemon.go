@@ -255,14 +255,10 @@ func (d *Daemon) Health() []PeerHealth {
 func (d *Daemon) SetProvenance(l *provenance.Log) { d.prov.Store(l) }
 
 // SetLogf installs a diagnostics sink (nil silences); safe to call
-// while serving. It is a compatibility shim over the daemon's leveled
-// obs.Logger — see Logger for level control.
+// while serving. It routes the daemon's obs.Logger.
 func (d *Daemon) SetLogf(f func(format string, args ...any)) {
 	d.log.SetFunc(f)
 }
-
-// Logger exposes the daemon's component logger.
-func (d *Daemon) Logger() *obs.Logger { return d.log }
 
 // Instrument registers the daemon's counters on a metrics registry
 // and starts observing the delay between consecutive forwarded frames

@@ -4,9 +4,6 @@
 // float32 time steps, so a step can be read with one contiguous
 // sequential read — exactly the access pattern of the paper's setting
 // without parallel I/O.
-//
-// A Reader can be throttled to a byte rate to model the mass-storage
-// and LAN path between the storage device and the parallel machine.
 package volio
 
 import (
@@ -17,7 +14,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"time"
 
 	"repro/internal/vol"
 )
@@ -113,12 +109,10 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Reader reads time steps of a stored dataset, optionally throttled.
+// Reader reads time steps of a stored dataset.
 type Reader struct {
 	f   *os.File
 	hdr Header
-	// rate limits reads to this many bytes per second; 0 = unlimited.
-	rate float64
 }
 
 // Open opens a dataset file for reading.
@@ -160,9 +154,6 @@ func Open(path string) (*Reader, error) {
 // Header returns the dataset header.
 func (r *Reader) Header() Header { return r.hdr }
 
-// SetRate throttles subsequent reads to bytesPerSec (0 disables).
-func (r *Reader) SetRate(bytesPerSec float64) { r.rate = bytesPerSec }
-
 // ReadStep reads time step t into a fresh volume. Safe for concurrent
 // use by multiple goroutines (uses positional reads).
 func (r *Reader) ReadStep(t int) (*vol.Volume, error) {
@@ -189,7 +180,6 @@ func (r *Reader) ReadStepInto(t int, v *vol.Volume) error {
 	if v.Dims != r.hdr.Dims {
 		return fmt.Errorf("volio: volume dims %v != dataset %v", v.Dims, r.hdr.Dims)
 	}
-	start := time.Now()
 	off := int64(headerSize) + int64(t)*r.hdr.StepBytes()
 	// Decode through a small fixed chunk: a whole-step byte slab would
 	// be live together with the equally large volume it fills.
@@ -206,7 +196,6 @@ func (r *Reader) ReadStepInto(t int, v *vol.Volume) error {
 		off += int64(n) * 4
 	}
 	v.Min, v.Max = r.hdr.Min, r.hdr.Max
-	r.throttle(int(r.hdr.StepBytes()), start)
 	return nil
 }
 
@@ -223,7 +212,6 @@ func (r *Reader) ReadRegion(t int, box vol.Box) (*vol.Volume, error) {
 	if box.Empty() {
 		return nil, errors.New("volio: empty region")
 	}
-	start := time.Now()
 	sub, err := vol.New(box.Dims())
 	if err != nil {
 		return nil, err
@@ -231,7 +219,6 @@ func (r *Reader) ReadRegion(t int, box vol.Box) (*vol.Volume, error) {
 	base := int64(headerSize) + int64(t)*r.hdr.StepBytes()
 	rowBytes := int64(box.X1-box.X0) * 4
 	buf := make([]byte, rowBytes)
-	total := 0
 	di := 0
 	for z := box.Z0; z < box.Z1; z++ {
 		for y := box.Y0; y < box.Y1; y++ {
@@ -243,24 +230,10 @@ func (r *Reader) ReadRegion(t int, box vol.Box) (*vol.Volume, error) {
 				sub.Data[di] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
 				di++
 			}
-			total += int(rowBytes)
 		}
 	}
 	sub.Min, sub.Max = r.hdr.Min, r.hdr.Max
-	r.throttle(total, start)
 	return sub, nil
-}
-
-// throttle sleeps long enough that n bytes took at least n/rate
-// seconds since start.
-func (r *Reader) throttle(n int, start time.Time) {
-	if r.rate <= 0 {
-		return
-	}
-	want := time.Duration(float64(n) / r.rate * float64(time.Second))
-	if elapsed := time.Since(start); elapsed < want {
-		time.Sleep(want - elapsed)
-	}
 }
 
 // Close closes the underlying file.

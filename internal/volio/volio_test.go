@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/vol"
@@ -170,25 +169,6 @@ func TestReadRegionErrors(t *testing.T) {
 	d := r.Header().Dims
 	if _, err := r.ReadRegion(0, vol.Box{X0: d.NX, X1: d.NX + 2, Y1: 1, Z1: 1}); err == nil {
 		t.Fatal("want empty region error")
-	}
-}
-
-func TestThrottleSlowsReads(t *testing.T) {
-	path, _ := writeTestDataset(t, 2)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	stepBytes := float64(r.Header().StepBytes())
-	// Rate such that one step takes ~50ms.
-	r.SetRate(stepBytes / 0.05)
-	start := time.Now()
-	if _, err := r.ReadStep(0); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 40*time.Millisecond {
-		t.Fatalf("throttled read took %v, want >= ~50ms", el)
 	}
 }
 
