@@ -1,7 +1,8 @@
 // Package composite merges the partial images rendered by the nodes of
 // a processor group into the final frame — the "global image
 // compositing" stage of the paper's pipeline. The primary algorithm is
-// binary-swap compositing [Ma, Painter, Hansen, Krogh 1994]; a
+// binary-swap compositing [Ma, Painter, Hansen, Krogh 1994], which
+// exchanges only the screen rectangle each rank's rays reached; a
 // direct-send compositor serves group sizes that are not powers of two
 // and as the correctness baseline in tests.
 package composite
@@ -129,6 +130,8 @@ func separatingPlane(boxes []vol.Box, idx []int) (axis, plane int, ok bool) {
 }
 
 // piece is the exchange payload: a sub-image and its absolute region.
+// In binary-swap it also holds a rank's non-transparent pixels: im
+// covers reg exactly, and is nil when reg is empty.
 type piece struct {
 	reg img.Region
 	im  *img.RGBA
@@ -136,23 +139,44 @@ type piece struct {
 
 func pieceBytes(p *img.RGBA) int { return len(p.Pix) * 4 }
 
-// BinarySwap composites the group's partial images. Every rank of c
-// calls it with its own full-size partial image im (the rendering of
-// boxes[rank] as seen by cam eye). The group size must be a power of
+// rectHeaderBytes is the accounted size of the rectangle that heads
+// every binary-swap message: four 32-bit coordinates.
+const rectHeaderBytes = 16
+
+// BinarySwap composites the group's full-size partial images: it is
+// BinarySwapRect with every rank's rectangle the whole image.
+func BinarySwap(c *comm.Comm, im *img.RGBA, boxes []vol.Box, eye render.Vec3, step int) (img.Region, *img.RGBA, error) {
+	return BinarySwapRect(c, img.Region{X1: im.W, Y1: im.H}, im, im.W, im.H, boxes, eye, step)
+}
+
+// BinarySwapRect composites the group's partial images of a w x h
+// frame. Every rank of c calls it with its partial — the rendering of
+// boxes[rank] as seen by cam eye — given as rect, outside which the
+// partial is transparent, and im, its pixels inside rect: what
+// render.RenderBrickRect returns. The group size must be a power of
 // two. Each rank returns the screen region it owns after compositing
-// and the fully composited pixels of that region — ready for parallel
-// compression or for FinalGather.
+// and the fully composited pixels of that whole region — ready for
+// parallel compression or for FinalGather.
 //
-// Sub-image exchange buffers are drawn from the img pool and recycled
-// as each stage consumes them, so a steady-state frame loop swaps
-// without allocating. The returned image is pool-backed: the caller
-// may img.PutRGBA it when finished (dropping it is also fine). The
-// caller's im is never recycled.
+// A stage sends only the part of the rank's rectangle inside the half
+// it gives away, headed by that part's rectangle (16 bytes, so an
+// empty part costs only the header), and keeps the bounding rectangle
+// of the part it kept and the part it received. The pixels equal
+// those of compositing dense full-frame partials bit for bit: where
+// only one side has pixels, the over operator meets a transparent
+// operand, and for non-negative premultiplied floats 0 + 1·b = b and
+// f + (1−α)·0 = f exactly.
+//
+// Exchange buffers are drawn from the img pool and recycled as each
+// stage consumes them. The returned image is pool-backed (the caller
+// may img.PutRGBA it when finished; dropping it is also fine), except
+// in a group of one whose rect is the whole frame, where it is im
+// itself. The caller's im is never modified or recycled.
 //
 // step namespaces the exchange tags (via the comm tag registry) so
 // concurrent groups sharing a world — always on different pipeline
 // steps — do not cross-talk.
-func BinarySwap(c *comm.Comm, im *img.RGBA, boxes []vol.Box, eye render.Vec3, step int) (img.Region, *img.RGBA, error) {
+func BinarySwapRect(c *comm.Comm, rect img.Region, im *img.RGBA, w, h int, boxes []vol.Box, eye render.Vec3, step int) (img.Region, *img.RGBA, error) {
 	p := c.Size()
 	if p&(p-1) != 0 {
 		return img.Region{}, nil, fmt.Errorf("composite: binary-swap needs power-of-two group, got %d", p)
@@ -160,57 +184,125 @@ func BinarySwap(c *comm.Comm, im *img.RGBA, boxes []vol.Box, eye render.Vec3, st
 	if len(boxes) != p {
 		return img.Region{}, nil, fmt.Errorf("composite: %d boxes for %d ranks", len(boxes), p)
 	}
+	reg := img.Region{X1: w, Y1: h}
+	cur := piece{}
+	if !rect.Empty() {
+		if rect.Intersect(reg) != rect || im == nil || im.W != rect.W() || im.H != rect.H() {
+			return img.Region{}, nil, fmt.Errorf("composite: partial rectangle %v does not fit its image or the %dx%d frame", rect, w, h)
+		}
+		cur = piece{reg: rect, im: im}
+	}
+	// owned reports whether cur.im is a compositor buffer, which may be
+	// sent on, merged into and recycled; the caller's im is none of these.
+	owned := false
 	rank := c.Rank()
-	cur := piece{reg: img.Region{X0: 0, Y0: 0, X1: im.W, Y1: im.H}, im: im}
 	stages := bits.TrailingZeros(uint(p))
 	for s := 0; s < stages; s++ {
 		partner := rank ^ (1 << s)
-		lo, hi := img.SplitRegion(cur.reg)
+		lo, hi := img.SplitRegion(reg)
 		keep, give := lo, hi
 		if rank&(1<<s) != 0 {
 			keep, give = hi, lo
 		}
-		keepIm, err := subRGBAPooled(cur.im, relRegion(keep, cur.reg))
+		mine, err := carve(cur, keep, owned)
 		if err != nil {
 			return img.Region{}, nil, err
 		}
-		giveIm, err := subRGBAPooled(cur.im, relRegion(give, cur.reg))
+		out, err := carve(cur, give, owned)
 		if err != nil {
 			return img.Region{}, nil, err
 		}
-		// Both halves are carved out, so the previous stage's piece is
-		// dead — recycle it unless it is the caller's input image.
-		if cur.im != im {
+		// Both parts are carved out; a buffer that went on whole to one
+		// of them is not dead.
+		if owned && cur.im != mine.im && cur.im != out.im {
 			img.PutRGBA(cur.im)
 		}
-		c.Send(partner, tagSwap.Tag(step, s), giveIm, pieceBytes(giveIm))
+		c.Send(partner, tagSwap.Tag(step, s), out, rectHeaderBytes+16*out.reg.Pixels())
 		got, _ := c.Recv(partner, tagSwap.Tag(step, s))
-		theirs, ok := got.(*img.RGBA)
+		theirs, ok := got.(piece)
 		if !ok {
 			return img.Region{}, nil, fmt.Errorf("composite: unexpected payload %T", got)
 		}
-		if theirs.W != keepIm.W || theirs.H != keepIm.H {
-			return img.Region{}, nil, fmt.Errorf("composite: stage %d piece %dx%d != %dx%d", s, theirs.W, theirs.H, keepIm.W, keepIm.H)
+		if !theirs.reg.Empty() && (theirs.reg.Intersect(keep) != theirs.reg || theirs.im == nil ||
+			theirs.im.W != theirs.reg.W() || theirs.im.H != theirs.reg.H()) {
+			return img.Region{}, nil, fmt.Errorf("composite: stage %d piece %v outside kept half %v or not its size", s, theirs.reg, keep)
 		}
 		front, err := iAmFront(boxes, rank, partner, s, eye)
 		if err != nil {
 			return img.Region{}, nil, err
 		}
 		if front {
-			if err := keepIm.Over(theirs); err != nil {
-				return img.Region{}, nil, err
-			}
-			img.PutRGBA(theirs) // merged into keepIm
-			cur = piece{reg: keep, im: keepIm}
+			cur, err = over(mine, theirs)
 		} else {
-			if err := theirs.Over(keepIm); err != nil {
-				return img.Region{}, nil, err
-			}
-			img.PutRGBA(keepIm) // merged into theirs
-			cur = piece{reg: keep, im: theirs}
+			cur, err = over(theirs, mine)
+		}
+		if err != nil {
+			return img.Region{}, nil, err
+		}
+		owned = true
+		reg = keep
+	}
+	if cur.im != nil && cur.reg == reg {
+		return reg, cur.im, nil
+	}
+	// Spread the rectangle over the whole region, transparent around it.
+	dense := img.GetRGBA(reg.W(), reg.H())
+	if cur.im != nil {
+		if err := dense.BlitRGBA(cur.im, relRegion(cur.reg, reg)); err != nil {
+			return img.Region{}, nil, err
+		}
+		if owned {
+			img.PutRGBA(cur.im)
 		}
 	}
-	return cur.reg, cur.im, nil
+	return reg, dense, nil
+}
+
+// carve returns the part of p inside r. When that is all of p and p's
+// buffer is the compositor's (owned), the buffer itself is returned;
+// otherwise the part is copied into a pool-backed image.
+func carve(p piece, r img.Region, owned bool) (piece, error) {
+	r = r.Intersect(p.reg)
+	switch {
+	case r.Empty():
+		return piece{}, nil
+	case r == p.reg && owned:
+		return p, nil
+	}
+	im, err := subRGBAPooled(p.im, relRegion(r, p.reg))
+	return piece{reg: r, im: im}, err
+}
+
+// over composites front over back, consuming both: the result covers
+// the bounding rectangle of their rectangles. Only pixels inside both
+// go through the over operator; everywhere else one operand is
+// transparent and the other's pixel is the exact result.
+func over(front, back piece) (piece, error) {
+	switch {
+	case back.im == nil:
+		return front, nil
+	case front.im == nil:
+		return back, nil
+	}
+	u := front.reg.Union(back.reg)
+	if u != front.reg {
+		merged := img.GetRGBA(u.W(), u.H())
+		if err := merged.BlitRGBA(front.im, relRegion(front.reg, u)); err != nil {
+			return piece{}, err
+		}
+		img.PutRGBA(front.im)
+		front = piece{reg: u, im: merged}
+	}
+	r, fw, bw := back.reg, front.im.W*4, back.im.W*4
+	for y := r.Y0; y < r.Y1; y++ {
+		f := front.im.Pix[(y-u.Y0)*fw+(r.X0-u.X0)*4:]
+		b := back.im.Pix[(y-r.Y0)*bw : (y-r.Y0+1)*bw]
+		for i := 0; i < len(b); i += 4 {
+			img.OverPixel(f[i:i+4:i+4], b[i:i+4:i+4])
+		}
+	}
+	img.PutRGBA(back.im)
+	return front, nil
 }
 
 // subRGBAPooled carves region r of src into a pool-backed image of
@@ -302,8 +394,8 @@ func rangeUnion(boxes []vol.Box, lo, hi int) vol.Box {
 }
 
 // FinalGather assembles the per-rank composited pieces into a full
-// frame at root. Every rank calls it with its piece from BinarySwap
-// and the same step; only root receives a non-nil image. Ownership of
+// frame at root. Every rank calls it with its piece from
+// BinarySwapRect (or BinarySwap) and the same step; only root receives a non-nil image. Ownership of
 // pc transfers to FinalGather on every rank: root recycles the
 // received pieces into the img pool after blitting (its own pc is
 // left to the caller).

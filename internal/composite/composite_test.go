@@ -88,21 +88,27 @@ func TestVisibilityOrderRejectsNonBSP(t *testing.T) {
 	}
 }
 
-// renderPartials renders one brick per rank and returns the reference
-// whole-volume rendering along with the partials.
-func renderPartials(t testing.TB, p, w, h int) (ref *img.RGBA, partials []*img.RGBA, boxes []vol.Box, cam *render.Camera) {
-	g := datagen.NewJetScaled(0.2, 2)
-	v, err := g.Step(1)
+// partialScene is the jet volume, camera and render options the
+// compositing tests render their partials with.
+func partialScene(t testing.TB) (*vol.Volume, *render.Camera, render.Options) {
+	v, err := datagen.NewJetScaled(0.2, 2).Step(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cam, err = render.NewOrbitCamera(v.Dims, 0.8, 0.4, 1.8)
+	cam, err := render.NewOrbitCamera(v.Dims, 0.8, 0.4, 1.8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := render.DefaultOptions()
 	opt.TerminationAlpha = 1
-	ref, _, err = render.Render(v, cam, tf.Jet(), opt, w, h)
+	return v, cam, opt
+}
+
+// renderPartials renders one brick per rank and returns the reference
+// whole-volume rendering along with the partials.
+func renderPartials(t testing.TB, p, w, h int) (ref *img.RGBA, partials []*img.RGBA, boxes []vol.Box, cam *render.Camera) {
+	v, cam, opt := partialScene(t)
+	ref, _, err := render.Render(v, cam, tf.Jet(), opt, w, h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,10 @@ func TestDFBTileOwnershipAndStreaming(t *testing.T) {
 
 // Footprint sparsity: partial images cover only their brick's screen
 // projection, so most tile fragments are all-transparent markers and
-// DFB must move fewer bytes than binary-swap + gather.
+// DFB must move fewer bytes than binary-swap + gather. This measures
+// binary-swap's full-frame entry point, BinarySwap, whose every stage
+// exchanges a dense half-region; the rect entry point the pipeline
+// uses is measured by TestBinarySwapRectSendsFewerBytes.
 func TestDFBMovesFewerBytesThanBinarySwap(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const P, W, H = 8, 64, 64

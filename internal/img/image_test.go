@@ -315,6 +315,26 @@ func TestSplitRegion(t *testing.T) {
 	}
 }
 
+func TestRegionIntersectUnion(t *testing.T) {
+	a, b := Region{0, 0, 10, 4}, Region{6, 2, 12, 9}
+	if got := a.Intersect(b); got != (Region{6, 2, 10, 4}) {
+		t.Fatalf("intersect %v", got)
+	}
+	if got := a.Intersect(Region{10, 0, 12, 4}); got != (Region{}) {
+		t.Fatalf("touching regions intersect in %v, want the zero region", got)
+	}
+	if got := a.Union(b); got != (Region{0, 0, 12, 9}) {
+		t.Fatalf("union %v", got)
+	}
+	// Empty regions add nothing, wherever they sit.
+	if got := a.Union(Region{20, 20, 20, 30}); got != a {
+		t.Fatalf("union with empty %v", got)
+	}
+	if got := (Region{}).Union(b); got != b {
+		t.Fatalf("empty union %v", got)
+	}
+}
+
 func TestSavePNGAndRegionString(t *testing.T) {
 	f := NewFrame(4, 4)
 	path := t.TempDir() + "/x.png"

@@ -29,3 +29,25 @@ func SplitRegion(r Region) (lo, hi Region) {
 	mid := r.Y0 + r.H()/2
 	return Region{r.X0, r.Y0, r.X1, mid}, Region{r.X0, mid, r.X1, r.Y1}
 }
+
+// Intersect returns the pixels in both r and o; an empty result is the
+// zero Region.
+func (r Region) Intersect(o Region) Region {
+	x := Region{max(r.X0, o.X0), max(r.Y0, o.Y0), min(r.X1, o.X1), min(r.Y1, o.Y1)}
+	if x.Empty() {
+		return Region{}
+	}
+	return x
+}
+
+// Union returns the smallest region containing r and o; empty regions
+// add nothing.
+func (r Region) Union(o Region) Region {
+	switch {
+	case r.Empty():
+		return o
+	case o.Empty():
+		return r
+	}
+	return Region{min(r.X0, o.X0), min(r.Y0, o.Y0), max(r.X1, o.X1), max(r.Y1, o.Y1)}
+}

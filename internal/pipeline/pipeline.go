@@ -539,7 +539,10 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 		}
 		ropt.Accel = grid
 	}
-	partial, _, err := render.RenderBrick(work.brick, cam, work.tf, ropt, opt.ImageW, opt.ImageH)
+	// The partial covers only the screen rectangle the brick's rays
+	// reach. It is allocated per step, not pooled: on dense data it is
+	// a whole frame, and pooled frames outlive GC cycles.
+	rect, partial, _, err := render.RenderBrickRect(work.brick, cam, work.tf, ropt, opt.ImageW, opt.ImageH)
 	if err != nil {
 		return err
 	}
@@ -551,10 +554,18 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 	var pieces []Piece
 	var assembled *img.RGBA
 	if g == 1 {
-		pieces = []Piece{{Region: img.Region{X1: opt.ImageW, Y1: opt.ImageH}, Image: partial}}
+		frame := img.Region{X1: opt.ImageW, Y1: opt.ImageH}
+		if rect != frame {
+			full := img.NewRGBA(opt.ImageW, opt.ImageH)
+			if err := full.BlitRGBA(partial, rect); err != nil {
+				return err
+			}
+			partial = full
+		}
+		pieces = []Piece{{Region: frame, Image: partial}}
 		assembled = partial
 	} else {
-		reg, piece, err := composite.BinarySwap(gc, partial, boxes, cam.Eye, step)
+		reg, piece, err := composite.BinarySwapRect(gc, rect, partial, opt.ImageW, opt.ImageH, boxes, cam.Eye, step)
 		if err != nil {
 			return err
 		}

@@ -55,7 +55,7 @@ func loadTileObserver() func(TileObservation) {
 // renderRows(0, h); per-tile Stats are summed, which is
 // order-independent.
 func renderTiled(rr *rowRenderer, workers int) Stats {
-	h := rr.dst.H
+	h := rr.h
 	rows := tileRows
 	tiles := (h + rows - 1) / rows
 	if tiles < workers {

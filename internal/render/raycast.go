@@ -107,44 +107,63 @@ type Stats struct {
 // which is what the compositor expects of a partial image. dst must be
 // cleared by the caller if reused.
 func RenderRegion(b *vol.Brick, region vol.Box, cam *Camera, t *tf.TF, opt Options, dst *img.RGBA) (Stats, error) {
-	if err := opt.normalize(); err != nil {
+	rr, err := newRowRenderer(b, region, cam, t, opt, dst.W, dst.H)
+	if err != nil {
 		return Stats{}, err
 	}
+	return rr.render(dst, 0, 0), nil
+}
+
+// newRowRenderer validates the options and resolves everything one
+// render of region into a w x h image needs, including the pixel
+// rectangle worth casting.
+func newRowRenderer(b *vol.Brick, region vol.Box, cam *Camera, t *tf.TF, opt Options, w, h int) (*rowRenderer, error) {
+	if err := opt.normalize(); err != nil {
+		return nil, err
+	}
 	if region.Empty() {
-		return Stats{}, fmt.Errorf("render: empty region")
+		return nil, fmt.Errorf("render: empty region")
 	}
 	if !cam.ready {
 		if err := cam.Finish(); err != nil {
-			return Stats{}, err
+			return nil, err
 		}
 	}
 	rr := &rowRenderer{
 		b:         b,
 		box:       region,
-		rect:      img.Region{X1: dst.W, Y1: dst.H},
+		rect:      img.Region{X1: w, Y1: h},
+		w:         w,
+		h:         h,
 		cam:       cam,
 		opt:       &opt,
 		lut:       t.LUT(),
 		light:     opt.Light.Normalized(),
 		headlight: opt.Light == (Vec3{}),
-		dst:       dst,
 	}
 	if opt.Accel != nil && opt.Mode == ModeOver {
 		if err := rr.useGrid(region, t); err != nil {
-			return Stats{}, err
+			return nil, err
 		}
 	}
-	if opt.Workers > 1 && dst.H > 1 {
-		return renderTiled(rr, opt.Workers), nil
-	}
-	return rr.renderRows(0, dst.H), nil
+	return rr, nil
 }
 
-// rowRenderer carries the per-call invariants of one RenderRegion
-// invocation so a span of scanlines can be rendered independently —
-// the unit of work of both the serial path and the parallel tile
-// queue. All fields are read-only during rendering; dst is shared but
-// each pixel is written by exactly one renderRows call.
+// render casts rr.rect into dst, whose pixel (0,0) is pixel (ox,oy)
+// of the w x h image.
+func (rr *rowRenderer) render(dst *img.RGBA, ox, oy int) Stats {
+	rr.dst, rr.ox, rr.oy = dst, ox, oy
+	if rr.opt.Workers > 1 && rr.h > 1 {
+		return renderTiled(rr, rr.opt.Workers)
+	}
+	return rr.renderRows(0, rr.h)
+}
+
+// rowRenderer carries the per-call invariants of one render so a span
+// of scanlines can be rendered independently — the unit of work of
+// both the serial path and the parallel tile queue. All fields are
+// read-only during rendering; dst is shared but each pixel is written
+// by exactly one renderRows call.
 type rowRenderer struct {
 	b *vol.Brick
 	// box is what rays are intersected with and rect the pixels whose
@@ -153,8 +172,12 @@ type rowRenderer struct {
 	// screen bounding rectangle (both empty when no cell is active).
 	box  vol.Box
 	rect img.Region
-	cam  *Camera
-	opt  *Options
+	// w, h are the image's size, which fixes every pixel's ray; dst
+	// may cover only part of it, with its origin at pixel (ox,oy).
+	w, h   int
+	ox, oy int
+	cam    *Camera
+	opt    *Options
 	// lut is the transfer function's baked classification table,
 	// indexed directly so the inner sampling loop is a flat load
 	// instead of a method call (see tf.LUT — identical arithmetic to
@@ -196,7 +219,10 @@ func (rr *rowRenderer) useGrid(region vol.Box, t *tf.TF) error {
 		}.Intersect(region)
 	}
 	if !rr.box.Empty() {
-		rr.rect = rr.cam.screenRect(rr.box, rr.dst.W, rr.dst.H)
+		rr.rect = rr.cam.screenRect(rr.box, rr.w, rr.h)
+	}
+	if rr.rect.Empty() {
+		rr.rect = img.Region{}
 	}
 	return nil
 }
@@ -230,10 +256,11 @@ func (rr *rowRenderer) classify(v float32) (r, g, b, a float32) {
 func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 	var st Stats
 	br, opt, dst, cam := rr.b, rr.opt, rr.dst, rr.cam
-	w, h := dst.W, dst.H
+	w, h := rr.w, rr.h
 	termA := opt.TerminationAlpha
 	grid, emptyCell := opt.Accel, rr.emptyCell
 	for py := max(y0, rr.rect.Y0); py < min(y1, rr.rect.Y1); py++ {
+		row := (py-rr.oy)*dst.W - rr.ox
 		for px := rr.rect.X0; px < rr.rect.X1; px++ {
 			orig, dir := cam.Ray(px, py, w, h)
 			tn, tfar, ok := IntersectBox(orig, dir, rr.box)
@@ -242,7 +269,7 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 			}
 			st.Rays++
 			if opt.Mode == ModeMIP {
-				rr.mipRay(orig, dir, tn, tfar, &st, py*w+px)
+				rr.mipRay(orig, dir, tn, tfar, &st, row+px)
 				continue
 			}
 			var r, g, b, a float32
@@ -322,7 +349,7 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 				}
 			}
 			if a > 0 {
-				i := (py*w + px) * 4
+				i := (row + px) * 4
 				dst.Pix[i] += r
 				dst.Pix[i+1] += g
 				dst.Pix[i+2] += b
@@ -385,10 +412,28 @@ func Render(v *vol.Volume, cam *Camera, t *tf.TF, opt Options, w, h int) (*img.R
 	return dst, st, err
 }
 
-// RenderBrick ray-casts one brick's owned region into a full-size
-// partial image; this is what each compute node of a group runs.
+// RenderBrickRect ray-casts one brick's owned region; this is what
+// each compute node of a group runs. It returns the rectangle of the
+// w x h image that the brick's rays can reach and an image covering
+// only that rectangle: every pixel outside it is transparent. The
+// rectangle is the whole image unless opt.Accel has an empty cell, and
+// empty when it has no active one.
+func RenderBrickRect(b *vol.Brick, cam *Camera, t *tf.TF, opt Options, w, h int) (img.Region, *img.RGBA, Stats, error) {
+	rr, err := newRowRenderer(b, b.Region, cam, t, opt, w, h)
+	if err != nil {
+		return img.Region{}, nil, Stats{}, err
+	}
+	dst := img.NewRGBA(rr.rect.W(), rr.rect.H())
+	st := rr.render(dst, rr.rect.X0, rr.rect.Y0)
+	return rr.rect, dst, st, nil
+}
+
+// RenderBrick is RenderBrickRect into a full-size partial image.
 func RenderBrick(b *vol.Brick, cam *Camera, t *tf.TF, opt Options, w, h int) (*img.RGBA, Stats, error) {
-	dst := img.NewRGBA(w, h)
-	st, err := RenderRegion(b, b.Region, cam, t, opt, dst)
-	return dst, st, err
+	rect, im, st, err := RenderBrickRect(b, cam, t, opt, w, h)
+	if err != nil || rect == (img.Region{X1: w, Y1: h}) {
+		return im, st, err
+	}
+	full := img.NewRGBA(w, h)
+	return full, st, full.BlitRGBA(im, rect)
 }

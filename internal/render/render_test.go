@@ -1,7 +1,9 @@
 package render
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/accel"
@@ -535,5 +537,121 @@ func TestAccelWithBricks(t *testing.T) {
 	}
 	if maxDiff > 5e-3 {
 		t.Fatalf("accelerated brick composition differs by %v", maxDiff)
+	}
+}
+
+// RenderBrickRect renders exactly RenderBrick's pixels, but only
+// inside its rectangle; RenderBrick is transparent outside it. Jet is
+// sparse (the grid clips most of the frame), vortex dense (the grid is
+// dropped and the rectangle is the whole frame) and MIP ignores the
+// grid.
+func TestRenderBrickRectMatchesRenderBrick(t *testing.T) {
+	jet := testVolume(t)
+	vortex, err := datagen.NewVortexScaled(0.25, 2).Step(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mip := DefaultOptions()
+	mip.Mode = ModeMIP
+	cases := []struct {
+		name string
+		v    *vol.Volume
+		tf   *tf.TF
+		opt  Options
+		// sparse cases must clip at least one brick's rectangle.
+		sparse bool
+	}{
+		{"jet", jet, tf.Jet(), DefaultOptions(), true},
+		{"vortex", vortex, tf.Vortex(), DefaultOptions(), false},
+		{"mip", jet, tf.Jet(), mip, false},
+	}
+	const W, H = 53, 47
+	frame := img.Region{X1: W, Y1: H}
+	for _, c := range cases {
+		cam, err := NewOrbitCamera(c.v.Dims, 0.7, 0.35, 1.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boxes, err := vol.SplitKD(c.v.Dims, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			clipped := false
+			for bi, box := range boxes {
+				br := mustBrick(t, c.v, box)
+				grid, err := accel.Build(br, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := c.opt
+				opt.Workers = workers
+				opt.Accel = grid
+				full, fullSt, err := RenderBrick(br, cam, c.tf, opt, W, H)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rect, part, st, err := RenderBrickRect(br, cam, c.tf, opt, W, H)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("%s workers=%d brick %d rect %v", c.name, workers, bi, rect)
+				// RenderBrick is built on RenderBrickRect, so pin it to
+				// RenderRegion, which writes a whole frame directly.
+				want := img.NewRGBA(W, H)
+				if _, err := RenderRegion(br, br.Region, cam, c.tf, opt, want); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(full.Pix, want.Pix) {
+					t.Fatalf("%s: RenderBrick differs from RenderRegion", where)
+				}
+				if st != fullSt {
+					t.Fatalf("%s: stats %+v, RenderBrick %+v", where, st, fullSt)
+				}
+				if rect.Intersect(frame) != rect || part.W != rect.W() || part.H != rect.H() {
+					t.Fatalf("%s: image %dx%d does not cover the rectangle inside the frame", where, part.W, part.H)
+				}
+				if !c.sparse && rect != frame {
+					t.Fatalf("%s: want the whole frame", where)
+				}
+				clipped = clipped || rect != frame
+				for y := 0; y < H; y++ {
+					for x := 0; x < W; x++ {
+						fr, fg, fb, fa := full.At(x, y)
+						var r, g, b, a float32
+						if x >= rect.X0 && x < rect.X1 && y >= rect.Y0 && y < rect.Y1 {
+							r, g, b, a = part.At(x-rect.X0, y-rect.Y0)
+						}
+						if r != fr || g != fg || b != fb || a != fa {
+							t.Fatalf("%s: pixel (%d,%d) = %v %v %v %v, RenderBrick %v %v %v %v", where, x, y, r, g, b, a, fr, fg, fb, fa)
+						}
+					}
+				}
+			}
+			if c.sparse && !clipped {
+				t.Fatalf("%s workers=%d: no brick's rectangle was clipped", c.name, workers)
+			}
+		}
+	}
+
+	// A brick with no active cell casts nothing and covers nothing.
+	br := mustBrick(t, jet, jet.Bounds())
+	grid, err := accel.Build(br, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, err := NewOrbitCamera(jet.Dims, 0.7, 0.35, 1.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Accel = grid
+	clear := tf.MustNew([]tf.Point{{V: 0, A: 0}, {V: 1, A: 0}})
+	rect, part, st, err := RenderBrickRect(br, cam, clear, opt, W, H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rect.Empty() || len(part.Pix) != 0 || st != (Stats{}) {
+		t.Fatalf("all-empty brick: rect %v, %d floats, stats %+v", rect, len(part.Pix), st)
 	}
 }
