@@ -29,7 +29,9 @@ func main() {
 		steps, p, size, size)
 
 	table := metrics.NewTable("L", "G", "startup(s)", "overall(s)", "interframe(s)")
-	for _, l := range pipeline.GroupSizes(p) {
+	// Every L whose group size P/L is a power of two, as binary-swap
+	// needs.
+	for _, l := range []int{1, 2, 4, 8} {
 		store := volio.NewGenStore(datagen.NewJetScaled(0.35, steps))
 		m, err := pipeline.Run(store, pipeline.Options{
 			P: p, L: l,

@@ -166,16 +166,6 @@ func (g *Grid) Bounds() vol.Box {
 	}
 }
 
-// Range returns the normalized value bounds of the cell containing
-// parent-grid position (x,y,z); ok=false outside the grid.
-func (g *Grid) Range(x, y, z float64) (lo, hi float32, ok bool) {
-	i, ok := g.CellAt(x, y, z)
-	if !ok {
-		return 0, 0, false
-	}
-	return g.minv[i], g.maxv[i], true
-}
-
 // CellAt returns the linear cell index containing parent-grid position
 // (x,y,z); ok=false outside the grid.
 func (g *Grid) CellAt(x, y, z float64) (int, bool) {
@@ -279,9 +269,3 @@ func (g *Grid) CellExit(ox, oy, oz, dx, dy, dz, t float64) float64 {
 	}
 	return t + exit
 }
-
-// Cells returns the macrocell counts (for tests and stats).
-func (g *Grid) Cells() (nx, ny, nz int) { return g.nx, g.ny, g.nz }
-
-// CellSize returns the cell edge length.
-func (g *Grid) CellSize() int { return g.cell }

@@ -46,11 +46,11 @@ func TestBuildCellCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nx, ny, nz := g.Cells()
+	nx, ny, nz := g.nx, g.ny, g.nz
 	if nx != 3 || ny != 1 || nz != 2 {
 		t.Fatalf("cells %d %d %d", nx, ny, nz)
 	}
-	if g.CellSize() != 8 {
+	if g.cell != 8 {
 		t.Fatal("cell size")
 	}
 	// Default cell size applies for 0.
@@ -58,8 +58,8 @@ func TestBuildCellCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.CellSize() != DefaultCellSize {
-		t.Fatalf("default cell size %d", g2.CellSize())
+	if g2.cell != DefaultCellSize {
+		t.Fatalf("default cell size %d", g2.cell)
 	}
 	// A cell that is not a power of two would need a division per
 	// lookup; it is refused.
@@ -68,6 +68,16 @@ func TestBuildCellCounts(t *testing.T) {
 			t.Fatalf("cell size %d accepted", bad)
 		}
 	}
+}
+
+// rangeAt returns the value bounds of the cell containing parent-grid
+// position (x,y,z); ok=false outside the grid.
+func rangeAt(g *Grid, x, y, z float64) (lo, hi float32, ok bool) {
+	i, ok := g.CellAt(x, y, z)
+	if !ok {
+		return 0, 0, false
+	}
+	return g.minv[i], g.maxv[i], true
 }
 
 func TestRangeCoversInterpolation(t *testing.T) {
@@ -86,16 +96,16 @@ func TestRangeCoversInterpolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cell containing x=8 (second cell) and the cell before it.
-	_, hi1, ok := g.Range(8.1, 4, 4)
+	_, hi1, ok := rangeAt(g, 8.1, 4, 4)
 	if !ok || hi1 != 1 {
 		t.Fatalf("own cell max %v ok=%v", hi1, ok)
 	}
-	_, hi0, ok := g.Range(7.9, 4, 4)
+	_, hi0, ok := rangeAt(g, 7.9, 4, 4)
 	if !ok || hi0 != 1 {
 		t.Fatalf("border cell max %v ok=%v — interpolation support not covered", hi0, ok)
 	}
 	// A far cell stays empty.
-	lo, hi, ok := g.Range(1, 12, 12)
+	lo, hi, ok := rangeAt(g, 1, 12, 12)
 	if !ok || lo != 0 || hi != 0 {
 		t.Fatalf("far cell [%v,%v] ok=%v", lo, hi, ok)
 	}
@@ -107,13 +117,13 @@ func TestRangeOutside(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := g.Range(5, 5, 5); ok {
+	if _, _, ok := rangeAt(g, 5, 5, 5); ok {
 		t.Fatal("point before origin accepted")
 	}
-	if _, _, ok := g.Range(100, 12, 12); ok {
+	if _, _, ok := rangeAt(g, 100, 12, 12); ok {
 		t.Fatal("point past extent accepted")
 	}
-	if _, _, ok := g.Range(12, 12, 12); !ok {
+	if _, _, ok := rangeAt(g, 12, 12, 12); !ok {
 		t.Fatal("interior point rejected")
 	}
 }
@@ -420,7 +430,7 @@ func TestActiveBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nx, ny, nz := g.Cells()
+	nx, ny, nz := g.nx, g.ny, g.nz
 	mask := make([]bool, nx*ny*nz)
 	for i := range mask {
 		mask[i] = true

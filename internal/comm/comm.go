@@ -1,9 +1,9 @@
 // Package comm is a small rank-addressed message-passing fabric — the
 // stand-in for the MPI layer the paper's renderer runs on. A World of
 // P ranks runs one goroutine per rank (SPMD); ranks exchange typed
-// messages over matched (source, tag) channels, synchronize with
-// barriers, and can be split into sub-communicators, which is how the
-// pipeline forms its L processor groups.
+// messages over matched (source, tag) channels and can be split into
+// sub-communicators, which is how the pipeline forms its L processor
+// groups.
 //
 // Message payloads transfer ownership: the sender must not touch a
 // payload after Send. Byte volume is tracked per world for the
@@ -28,7 +28,7 @@ import (
 // AnyTag matches any message tag in Recv.
 const AnyTag = -1
 
-// ErrAborted is observed by ranks blocked in Recv or Barrier when the
+// ErrAborted is observed by ranks blocked in Recv or Take when the
 // world is aborted because another rank failed.
 var ErrAborted = errors.New("comm: world aborted")
 
@@ -225,16 +225,12 @@ type World struct {
 	// (Post/Take).
 	inboxes []*inbox
 
-	barrier *barrier
 	aborted atomic.Bool
 	// failed[r] marks world rank r dead; waits on it fail fast.
 	failed []atomic.Bool
 	// recvTimeout bounds every Recv (0 = wait forever). Set by RunWith
 	// before the rank goroutines start.
 	recvTimeout time.Duration
-
-	gbMu  sync.Mutex
-	gbars map[string]*barrier
 
 	bytesSent atomic.Int64
 	msgsSent  atomic.Int64
@@ -250,7 +246,6 @@ func NewWorld(p int) (*World, error) {
 	}
 	w := &World{size: p}
 	w.failed = make([]atomic.Bool, p)
-	w.barrier = newBarrier(w, allRanks(p))
 	w.bytesRecvBy = make([]atomic.Int64, p)
 	w.boxes = make([][]*mailbox, p)
 	w.inboxes = make([]*inbox, p)
@@ -272,7 +267,7 @@ func allRanks(p int) []int {
 	return ranks
 }
 
-// Abort wakes every rank blocked in Recv or Barrier; they observe
+// Abort wakes every rank blocked in Recv or Take; they observe
 // ErrAborted. Called automatically by Run when a rank fails.
 func (w *World) Abort() {
 	w.aborted.Store(true)
@@ -280,9 +275,9 @@ func (w *World) Abort() {
 }
 
 // MarkFailed declares one world rank dead: every rank blocked (now or
-// later) receiving from it or sharing a barrier with it fails with
-// ErrRankFailed instead of hanging. Idempotent; scoped — ranks not
-// waiting on the dead one are untouched.
+// later) receiving from it fails with ErrRankFailed instead of
+// hanging. Idempotent; scoped — ranks not waiting on the dead one are
+// untouched.
 func (w *World) MarkFailed(rank int) {
 	if rank < 0 || rank >= w.size {
 		return
@@ -291,14 +286,6 @@ func (w *World) MarkFailed(rank int) {
 		return
 	}
 	w.wakeAll()
-}
-
-// Failed reports whether a world rank has been marked failed.
-func (w *World) Failed(rank int) bool {
-	if rank < 0 || rank >= w.size {
-		return false
-	}
-	return w.failed[rank].Load()
 }
 
 // wakeAll broadcasts every wait point so blocked ranks re-check the
@@ -316,16 +303,7 @@ func (w *World) wakeAll() {
 		ib.cond.Broadcast()
 		ib.mu.Unlock()
 	}
-	w.barrier.broadcast()
-	w.gbMu.Lock()
-	for _, b := range w.gbars {
-		b.broadcast()
-	}
-	w.gbMu.Unlock()
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 // BytesSent returns the total payload bytes sent so far.
 func (w *World) BytesSent() int64 { return w.bytesSent.Load() }
@@ -348,7 +326,6 @@ type Comm struct {
 	world *World
 	rank  int   // local rank
 	ranks []int // local rank -> world rank
-	bar   *barrier
 }
 
 // Rank returns this endpoint's rank within the communicator.
@@ -388,14 +365,6 @@ func (c *Comm) Recv(src, tag int) (payload any, nbytes int) {
 	msg := c.world.boxes[wdst][wsrc].take(tag)
 	c.world.bytesRecvBy[wdst].Add(int64(msg.bytes))
 	return msg.payload, msg.bytes
-}
-
-// SendRecv exchanges payloads with a partner rank without deadlock
-// (sends are non-blocking, so plain Send+Recv suffices; provided for
-// readability at binary-swap call sites).
-func (c *Comm) SendRecv(partner, tag int, payload any, nbytes int) (got any, gotBytes int) {
-	c.Send(partner, tag, payload, nbytes)
-	return c.Recv(partner, tag)
 }
 
 // Post delivers payload to local rank dst's any-source inbox under
@@ -452,9 +421,6 @@ func (c *Comm) localRank(world int) int {
 	return -1
 }
 
-// Barrier blocks until every rank of this communicator has entered.
-func (c *Comm) Barrier() { c.bar.await() }
-
 // Group creates a sub-communicator from world-local ranks of this
 // communicator. Every listed member must call Group with the same
 // list; each receives its endpoint via the returned constructor
@@ -480,93 +446,7 @@ func (c *Comm) Group(members []int) (*Comm, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("comm: rank %d not in group %v", c.rank, members)
 	}
-	return &Comm{world: c.world, rank: idx, ranks: ranks, bar: c.world.groupBarrier(ranks)}, nil
-}
-
-// barrier is a reusable counting barrier over a set of world ranks.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   int
-	world *World
-	ranks []int // member world ranks (for failed-member detection)
-}
-
-func newBarrier(w *World, ranks []int) *barrier {
-	b := &barrier{n: len(ranks), world: w, ranks: ranks}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// failedRank returns a failed member's world rank, or -1.
-func (b *barrier) failedRank() int {
-	for _, r := range b.ranks {
-		if b.world.failed[r].Load() {
-			return r
-		}
-	}
-	return -1
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	if b.world.aborted.Load() {
-		b.mu.Unlock()
-		panic(abortPanic{})
-	}
-	// A barrier with a dead member can never complete — fail fast
-	// rather than wait for a peer that will not arrive.
-	if r := b.failedRank(); r >= 0 {
-		b.mu.Unlock()
-		panic(failPanic{rank: r})
-	}
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen {
-		if b.world.aborted.Load() {
-			b.mu.Unlock()
-			panic(abortPanic{})
-		}
-		if r := b.failedRank(); r >= 0 {
-			b.mu.Unlock()
-			panic(failPanic{rank: r})
-		}
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
-func (b *barrier) broadcast() {
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// groupBarrier returns a shared barrier for a set of world ranks,
-// keyed by the sorted rank list, so all members of one Group call get
-// the same barrier instance.
-func (w *World) groupBarrier(ranks []int) *barrier {
-	key := fmt.Sprint(ranks)
-	w.gbMu.Lock()
-	defer w.gbMu.Unlock()
-	if w.gbars == nil {
-		w.gbars = map[string]*barrier{}
-	}
-	if b, ok := w.gbars[key]; ok {
-		return b
-	}
-	b := newBarrier(w, ranks)
-	w.gbars[key] = b
-	return b
+	return &Comm{world: c.world, rank: idx, ranks: ranks}, nil
 }
 
 // RunConfig tunes a Run.
@@ -578,7 +458,7 @@ type RunConfig struct {
 
 // Run launches fn on every rank of a fresh world and waits for all to
 // return. When a rank fails, the world aborts: ranks blocked in Recv
-// or Barrier are woken and report ErrAborted; the first real error (by
+// or Take are woken and report ErrAborted; the first real error (by
 // rank order) is returned.
 func Run(p int, fn func(c *Comm) error) error {
 	return RunWith(p, RunConfig{}, fn)
@@ -615,7 +495,7 @@ func RunWith(p int, cfg RunConfig, fn func(c *Comm) error) error {
 					panic(rec)
 				}
 			}()
-			c := &Comm{world: w, rank: r, ranks: ranks, bar: w.barrier}
+			c := &Comm{world: w, rank: r, ranks: ranks}
 			errs[r] = fn(c)
 			if errs[r] != nil {
 				w.Abort()

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +14,7 @@ func TestNewWorldValidation(t *testing.T) {
 		t.Fatal("want error for size 0")
 	}
 	w, err := NewWorld(4)
-	if err != nil || w.Size() != 4 {
+	if err != nil || w.size != 4 {
 		t.Fatalf("NewWorld(4): %v %v", w, err)
 	}
 }
@@ -100,41 +99,6 @@ func TestAnyTag(t *testing.T) {
 	}
 }
 
-func TestSendRecvExchange(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	err := Run(2, func(c *Comm) error {
-		partner := 1 - c.Rank()
-		got, _ := c.SendRecv(partner, 9, c.Rank(), 4)
-		if got != partner {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierOrdering(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	var phase atomic.Int32
-	err := Run(8, func(c *Comm) error {
-		if c.Rank() == 3 {
-			time.Sleep(20 * time.Millisecond)
-			phase.Store(1)
-		}
-		c.Barrier()
-		if phase.Load() != 1 {
-			return fmt.Errorf("rank %d passed barrier before rank 3 arrived", c.Rank())
-		}
-		c.Barrier() // reusable
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllPairsTraffic(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const P = 6
@@ -185,7 +149,6 @@ func TestGroupCommunicator(t *testing.T) {
 		if got != wantWorld {
 			return fmt.Errorf("group %d rank %d got %v want %d", gid, g.Rank(), got, wantWorld)
 		}
-		g.Barrier()
 		return nil
 	})
 	if err != nil {
@@ -219,8 +182,8 @@ func TestTrafficAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	ranks := []int{0, 1}
-	c0 := &Comm{world: w, rank: 0, ranks: ranks, bar: w.barrier}
-	c1 := &Comm{world: w, rank: 1, ranks: ranks, bar: w.barrier}
+	c0 := &Comm{world: w, rank: 0, ranks: ranks}
+	c1 := &Comm{world: w, rank: 1, ranks: ranks}
 	c0.Send(1, 1, "abc", 3)
 	c0.Send(1, 1, "defg", 4)
 	c1.Recv(0, 1)
@@ -259,30 +222,6 @@ func TestAbortUnblocksRecv(t *testing.T) {
 	}
 }
 
-// The same for ranks waiting at a barrier.
-func TestAbortUnblocksBarrier(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	boom := fmt.Errorf("rank 2 failed")
-	done := make(chan error, 1)
-	go func() {
-		done <- Run(4, func(c *Comm) error {
-			if c.Rank() == 2 {
-				return boom
-			}
-			c.Barrier()
-			return nil
-		})
-	}()
-	select {
-	case err := <-done:
-		if err != boom {
-			t.Fatalf("got %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run never returned — barrier abort broken")
-	}
-}
-
 func TestRunPropagatesError(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	sentinel := fmt.Errorf("boom")
@@ -300,8 +239,8 @@ func TestRunPropagatesError(t *testing.T) {
 func BenchmarkSendRecv(b *testing.B) {
 	w, _ := NewWorld(2)
 	ranks := []int{0, 1}
-	c0 := &Comm{world: w, rank: 0, ranks: ranks, bar: w.barrier}
-	c1 := &Comm{world: w, rank: 1, ranks: ranks, bar: w.barrier}
+	c0 := &Comm{world: w, rank: 0, ranks: ranks}
+	c1 := &Comm{world: w, rank: 1, ranks: ranks}
 	payload := make([]byte, 1024)
 	b.SetBytes(1024)
 	b.ReportAllocs()

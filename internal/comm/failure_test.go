@@ -80,22 +80,6 @@ func TestQueuedMessagesDeliverBeforeFailure(t *testing.T) {
 	}
 }
 
-func TestBarrierFailsWithDeadMember(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	err := Run(3, func(c *Comm) error {
-		if c.Rank() == 2 {
-			time.Sleep(20 * time.Millisecond)
-			c.FailSelf()
-			return nil
-		}
-		c.Barrier() // rank 2 never arrives
-		return nil
-	})
-	if !errors.Is(err, ErrRankFailed) {
-		t.Fatalf("err = %v, want ErrRankFailed", err)
-	}
-}
-
 func TestFailureScopedToWaiters(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	// Ranks 2,3 never touch the failed rank and must finish normally.

@@ -64,14 +64,6 @@ func (s *TagSpace) Register(name string, capacity int) TagClass {
 	return TagClass{space: s, name: name, offset: offset, capacity: capacity}
 }
 
-// Stride returns the width of one per-step tag block (the sum of all
-// registered capacities). Exposed for tests and diagnostics.
-func (s *TagSpace) Stride() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stride
-}
-
 // TagClass is one registered consumer's slice of the tag space.
 type TagClass struct {
 	space    *TagSpace
@@ -79,12 +71,6 @@ type TagClass struct {
 	offset   int
 	capacity int
 }
-
-// Name returns the class name.
-func (tc TagClass) Name() string { return tc.name }
-
-// Capacity returns the number of sequence slots per step.
-func (tc TagClass) Capacity() int { return tc.capacity }
 
 // Tag returns the wire tag for (step, seq). step namespaces pipeline
 // steps (every step gets a fresh block, so concurrent groups working

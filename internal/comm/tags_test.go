@@ -17,20 +17,20 @@ func TestTagClassesDisjoint(t *testing.T) {
 	seen := map[int]string{}
 	for step := 0; step < 4; step++ {
 		for _, tc := range []TagClass{a, b, c} {
-			for seq := 0; seq < tc.Capacity(); seq++ {
+			for seq := 0; seq < tc.capacity; seq++ {
 				tag := tc.Tag(step, seq)
 				if prev, dup := seen[tag]; dup {
-					t.Fatalf("tag %d of %s/%d/%d collides with %s", tag, tc.Name(), step, seq, prev)
+					t.Fatalf("tag %d of %s/%d/%d collides with %s", tag, tc.name, step, seq, prev)
 				}
-				seen[tag] = tc.Name()
+				seen[tag] = tc.name
 			}
 		}
 	}
 	if got, want := len(seen), 4*(3+1+2); got != want {
 		t.Fatalf("expected %d distinct tags, got %d", want, got)
 	}
-	if s.Stride() != 6 {
-		t.Fatalf("stride %d, want 6", s.Stride())
+	if s.strideLocked() != 6 {
+		t.Fatalf("stride %d, want 6", s.strideLocked())
 	}
 }
 

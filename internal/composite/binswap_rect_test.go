@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/accel"
@@ -257,9 +256,8 @@ func TestBinarySwapRectSendsFewerBytes(t *testing.T) {
 		}
 	}
 	swap := func(rect bool) (int64, *img.RGBA) {
-		var sent int64
+		var world *comm.World
 		var frame *img.RGBA
-		var mu sync.Mutex
 		err := comm.Run(P, func(c *comm.Comm) error {
 			r := c.Rank()
 			var reg img.Region
@@ -277,18 +275,15 @@ func TestBinarySwapRectSendsFewerBytes(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			c.Barrier()
 			if r == 0 {
-				mu.Lock()
-				sent, frame = c.World().BytesSent(), out
-				mu.Unlock()
+				world, frame = c.World(), out
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sent, frame
+		return world.BytesSent(), frame
 	}
 	rectBytes, rectFrame := swap(true)
 	fullBytes, fullFrame := swap(false)

@@ -375,8 +375,11 @@ func TestBinarySwapRelievesRootLink(t *testing.T) {
 		for i := range ps {
 			ps[i] = partials[i].Clone()
 		}
-		var root int64
+		var world *comm.World
 		err := comm.Run(P, func(c *comm.Comm) error {
+			if c.Rank() == 0 {
+				world = c.World()
+			}
 			if useSwap {
 				reg, piece, err := BinarySwap(c, ps[c.Rank()], boxes, cam.Eye, 0)
 				if err != nil {
@@ -390,16 +393,12 @@ func TestBinarySwapRelievesRootLink(t *testing.T) {
 					return err
 				}
 			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				root = c.World().BytesReceivedBy(0)
-			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return root
+		return world.BytesReceivedBy(0)
 	}
 	swap := rootRecv(true)
 	direct := rootRecv(false)

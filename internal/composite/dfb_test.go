@@ -184,8 +184,11 @@ func TestDFBMovesFewerBytesThanBinarySwap(t *testing.T) {
 	const P, W, H = 8, 64, 64
 	_, partials, boxes, cam := renderPartials(t, P, W, H)
 
-	var swapBytes int64
+	var world *comm.World
 	err := comm.Run(P, func(c *comm.Comm) error {
+		if c.Rank() == 0 {
+			world = c.World()
+		}
 		reg, piece, err := BinarySwap(c, partials[c.Rank()], boxes, cam.Eye, 0)
 		if err != nil {
 			return err
@@ -193,19 +196,18 @@ func TestDFBMovesFewerBytesThanBinarySwap(t *testing.T) {
 		if _, err := FinalGather(c, reg, piece, W, H, 0, 1); err != nil {
 			return err
 		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			swapBytes = c.World().BytesSent()
-		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	swapBytes := world.BytesSent()
 
 	_, partials, _, _ = renderPartials(t, P, W, H)
-	var dfbBytes int64
 	err = comm.Run(P, func(c *comm.Comm) error {
+		if c.Rank() == 0 {
+			world = c.World()
+		}
 		tiles, err := DFBComposite(c, partials[c.Rank()], boxes, cam.Eye, 0, DFBOptions{})
 		if err != nil {
 			return err
@@ -213,15 +215,12 @@ func TestDFBMovesFewerBytesThanBinarySwap(t *testing.T) {
 		if _, err := GatherTiles(c, tiles, W, H, 0, 1); err != nil {
 			return err
 		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			dfbBytes = c.World().BytesSent()
-		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dfbBytes := world.BytesSent()
 
 	if dfbBytes >= swapBytes {
 		t.Fatalf("DFB moved %d bytes, binary-swap %d — expected footprint sparsity to win", dfbBytes, swapBytes)

@@ -4,9 +4,9 @@
 // passes. Pass 0 carries the coarsest low-pass band — a usable
 // preview at a small fraction of the full-frame bytes — and each
 // later pass adds one level of detail subbands. The stream can be
-// truncated at any pass boundary (Truncate/TruncateToBudget/
-// SplitPreview), a truncated prefix still decodes to a frame, and the
-// viewer refines in place as later passes arrive (Decoder). The full
+// truncated at any pass boundary (Truncate/SplitPreview), a truncated
+// prefix still decodes to a frame, and the viewer refines in place as
+// later passes arrive (Decoder). The full
 // stream is exactly lossless: the S-transform is integer-reversible.
 //
 // Coefficients are entropy-coded with the adaptive Golomb-Rice coder
@@ -510,10 +510,6 @@ func parseStream(data []byte, tolerateTail bool) (StreamInfo, error) {
 	return si, nil
 }
 
-// Parse validates a stream truncated (only) at a pass boundary and
-// reports its geometry.
-func Parse(data []byte) (StreamInfo, error) { return parseStream(data, false) }
-
 // Truncate returns the prefix of data holding the first `passes`
 // pass records — the wire-layer degradation step.
 func Truncate(data []byte, passes int) ([]byte, error) {
@@ -525,23 +521,6 @@ func Truncate(data []byte, passes int) ([]byte, error) {
 		return nil, fmt.Errorf("prog: truncate to %d of %d passes", passes, si.Passes)
 	}
 	return data[:si.Boundaries[passes-1]], nil
-}
-
-// TruncateToBudget returns the longest pass-boundary prefix of data
-// that fits budget bytes, never less than the preview pass. It
-// returns data unchanged if it does not parse.
-func TruncateToBudget(data []byte, budget int) []byte {
-	si, err := parseStream(data, false)
-	if err != nil {
-		return data
-	}
-	cut := si.Boundaries[0]
-	for _, b := range si.Boundaries {
-		if b <= budget {
-			cut = b
-		}
-	}
-	return data[:cut]
 }
 
 // SplitPreview splits a full stream into a standalone preview prefix

@@ -92,7 +92,7 @@ func TestTruncatedPrefixesDecodeAndRefine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, err := Parse(full)
+	si, err := parseStream(full, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPreviewMatchesTruncatedEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, _ := Parse(full)
+	si, _ := parseStream(full, false)
 	for p := 1; p < si.Passes; p++ {
 		direct, err := (Codec{Passes: p}).EncodeFrame(f)
 		if err != nil {
@@ -161,28 +161,6 @@ func TestPreviewMatchesTruncatedEncode(t *testing.T) {
 		if !bytes.Equal(direct, cut) {
 			t.Fatalf("pass %d: direct encode != truncated full stream", p)
 		}
-	}
-}
-
-func TestTruncateToBudget(t *testing.T) {
-	f := renderedStyleFrame(128)
-	full, _ := (Codec{}).EncodeFrame(f)
-	si, _ := Parse(full)
-	// A zero budget still yields the preview.
-	if got := TruncateToBudget(full, 0); len(got) != si.Boundaries[0] {
-		t.Fatalf("zero budget: got %d want preview %d", len(got), si.Boundaries[0])
-	}
-	// A huge budget yields the full stream.
-	if got := TruncateToBudget(full, 1<<30); len(got) != len(full) {
-		t.Fatalf("huge budget: got %d want %d", len(got), len(full))
-	}
-	// An intermediate budget lands exactly on a boundary.
-	mid := TruncateToBudget(full, si.Boundaries[1])
-	if len(mid) != si.Boundaries[1] {
-		t.Fatalf("mid budget: got %d want %d", len(mid), si.Boundaries[1])
-	}
-	if _, err := (Codec{}).DecodeFrame(mid); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -75,20 +75,12 @@ func (m *Model) Update(mapped uint32) {
 	}
 }
 
-// Writer is an append-only MSB-first bit writer.
+// Writer is an append-only MSB-first bit writer. The zero value is
+// ready to use.
 type Writer struct {
 	buf []byte
 	acc uint64
 	n   uint // pending bits in acc, right-aligned
-}
-
-// NewWriter returns a writer whose output buffer starts with capacity
-// capHint (a size estimate, not a limit).
-func NewWriter(capHint int) *Writer {
-	if capHint < 16 {
-		capHint = 16
-	}
-	return &Writer{buf: make([]byte, 0, capHint)}
 }
 
 // Reset re-arms the writer for a fresh stream, reusing the backing

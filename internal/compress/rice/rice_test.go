@@ -27,7 +27,7 @@ func TestBitsRoundTrip(t *testing.T) {
 		n uint
 	}
 	var recs []rec
-	w := NewWriter(0)
+	w := new(Writer)
 	for i := 0; i < 5000; i++ {
 		n := uint(rng.Intn(57) + 1)
 		v := rng.Uint64() & (1<<n - 1)
@@ -50,7 +50,7 @@ func TestRiceRoundTripAllK(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for k := uint(0); k <= 16; k++ {
 		var vals []uint32
-		w := NewWriter(0)
+		w := new(Writer)
 		for i := 0; i < 2000; i++ {
 			var v uint32
 			switch rng.Intn(4) {
@@ -85,7 +85,7 @@ func TestRiceAdaptiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var vals []int32
 	enc := NewModel()
-	w := NewWriter(0)
+	w := new(Writer)
 	for i := 0; i < 5000; i++ {
 		v := int32(rng.NormFloat64() * 12)
 		vals = append(vals, v)
@@ -108,7 +108,7 @@ func TestRiceAdaptiveModel(t *testing.T) {
 }
 
 func TestReaderTruncated(t *testing.T) {
-	w := NewWriter(0)
+	w := new(Writer)
 	for i := 0; i < 100; i++ {
 		w.WriteRice(uint32(i*37%1024), 4)
 	}

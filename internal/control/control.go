@@ -83,12 +83,6 @@ func CodecMsg(name string) *transport.ControlMsg {
 	return &transport.ControlMsg{Tag: TagCodec, Data: []byte(name)}
 }
 
-// StartMsg resumes streaming.
-func StartMsg() *transport.ControlMsg { return &transport.ControlMsg{Tag: TagStart} }
-
-// StopMsg pauses streaming.
-func StopMsg() *transport.ControlMsg { return &transport.ControlMsg{Tag: TagStop} }
-
 // StrideMsg selects preview-mode step skipping (k >= 1).
 func StrideMsg(k int) *transport.ControlMsg {
 	if k < 1 {

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/tf"
@@ -69,7 +70,7 @@ func TestStartStop(t *testing.T) {
 	if !s.Running() {
 		t.Fatal("must start running")
 	}
-	if err := s.Ingest(StopMsg()); err != nil {
+	if err := s.Ingest(&transport.ControlMsg{Tag: TagStop}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Running() {
@@ -79,7 +80,7 @@ func TestStartStop(t *testing.T) {
 	if !p.RunChanged || p.Running {
 		t.Fatalf("%+v", p)
 	}
-	if err := s.Ingest(StartMsg()); err != nil {
+	if err := s.Ingest(&transport.ControlMsg{Tag: TagStart}); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Running() {
@@ -110,15 +111,10 @@ func TestColormapSurvivesWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.Apply()
-	want := tf.Mixing().Points()
-	got := p.Colormap.Points()
-	if len(got) != len(want) {
-		t.Fatalf("%d points", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("point %d: %+v != %+v", i, got[i], want[i])
-		}
+	// Marshal writes every control point, so equal bytes mean equal
+	// points.
+	if got, want := p.Colormap.Marshal(), tf.Mixing().Marshal(); !bytes.Equal(got, want) {
+		t.Fatalf("colormap points %x, want %x", got, want)
 	}
 }
 

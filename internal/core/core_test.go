@@ -328,39 +328,6 @@ func TestControlStrideApplies(t *testing.T) {
 	s.Server.Stop()
 }
 
-func TestViewerHistory(t *testing.T) {
-	s, err := StartSession(testStore(3), SessionOptions{
-		Server: ServerOptions{
-			P: 2, L: 1, ImageW: 24, ImageH: 24,
-			Codec: "raw", TF: tf.Jet(),
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	frames := collectFrames(t, s, 3, 20*time.Second)
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	h := s.Viewer.History()
-	if len(h) != 3 {
-		t.Fatalf("history has %d frames", len(h))
-	}
-	for _, want := range frames {
-		got := s.Viewer.Review(want.id)
-		if got == nil {
-			t.Fatalf("frame %d not reviewable", want.id)
-		}
-		if !got.Image.Equal(want.im) {
-			t.Fatalf("reviewed frame %d differs", want.id)
-		}
-	}
-	if s.Viewer.Review(999) != nil {
-		t.Fatal("phantom frame reviewable")
-	}
-}
-
 // With per-node links (one renderer connection per piece, Figure 2's
 // topology) frames must still assemble correctly at the viewer.
 func TestNodeLinksDeliverFrames(t *testing.T) {

@@ -84,8 +84,6 @@ type ServerOptions struct {
 	// half-open probe succeeds, so a hard-down daemon is not hammered
 	// at full dial rate. nil = no breaker.
 	Breaker transport.UpstreamBreaker
-	// Background is the gray level composited behind the volume.
-	Background float32
 	// Trace, when set, records per-group pipeline stage spans plus the
 	// server's own encode/ship spans (track "server").
 	Trace *obs.Tracer
@@ -432,7 +430,7 @@ func (s *Server) sendFrame(f *pipeline.Frame) error {
 			// both the frame and the encoded payload recycle at the
 			// end of the call — the per-piece path allocates nothing
 			// at steady state.
-			frame := p.Image.ToFrameInto(img.GetFrameRaw(p.Image.W, p.Image.H), s.opt.Background)
+			frame := p.Image.ToFrameInto(img.GetFrameRaw(p.Image.W, p.Image.H), 0)
 			defer img.PutFrame(frame)
 			t0 := time.Now()
 			data, err := codec.EncodeFrame(frame)

@@ -100,13 +100,6 @@ func NewAssembler() *Assembler {
 	}
 }
 
-// Lost reports evicted incomplete frames.
-func (a *Assembler) Lost() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lost
-}
-
 func (a *Assembler) codec(name string) (compress.FrameCodec, error) {
 	if c, ok := a.codecCache[name]; ok {
 		return c, nil
@@ -297,11 +290,6 @@ type Viewer struct {
 	mu    sync.Mutex
 	stats ViewerStats
 
-	// history keeps the most recent frames for review (§7.1: "a
-	// mechanism for the user to review previously viewed images").
-	history      []*Frame
-	HistoryDepth int
-
 	// autoAck reports each completed frame's receive timestamp back
 	// through the daemon (MsgAck) — the feedback signal the adaptive
 	// stream broker's RTT estimator runs on. On by default; the plain
@@ -343,13 +331,12 @@ func (s *ViewerStats) FPS() float64 {
 // NewViewer wraps a connected display endpoint.
 func NewViewer(ep transport.Link) *Viewer {
 	v := &Viewer{
-		ep:           ep,
-		asm:          NewAssembler(),
-		frames:       make(chan *Frame, 16),
-		errs:         make(chan error, 1),
-		done:         make(chan struct{}),
-		HistoryDepth: 16,
-		autoAck:      true,
+		ep:      ep,
+		asm:     NewAssembler(),
+		frames:  make(chan *Frame, 16),
+		errs:    make(chan error, 1),
+		done:    make(chan struct{}),
+		autoAck: true,
 	}
 	go v.loop()
 	return v
@@ -368,28 +355,6 @@ func (v *Viewer) SetAutoAck(on bool) {
 	v.mu.Lock()
 	v.autoAck = on
 	v.mu.Unlock()
-}
-
-// History returns the most recently displayed frames, oldest first.
-func (v *Viewer) History() []*Frame {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]*Frame, len(v.history))
-	copy(out, v.history)
-	return out
-}
-
-// Review returns the retained frame with the given ID, or nil if it
-// has aged out of the history.
-func (v *Viewer) Review(id uint32) *Frame {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, f := range v.history {
-		if f.ID == id {
-			return f
-		}
-	}
-	return nil
 }
 
 // Frames delivers completed frames; closed when the connection ends.
@@ -487,26 +452,6 @@ func (v *Viewer) loop() {
 		}
 		v.stats.Bytes += int64(fr.Bytes)
 		v.stats.DecodeTime += fr.DecodeTime
-		depth := v.HistoryDepth
-		if depth > 0 {
-			replaced := false
-			if fr.Refinement {
-				// Review should return the sharpest copy we have.
-				for i := len(v.history) - 1; i >= 0; i-- {
-					if v.history[i].ID == fr.ID {
-						v.history[i] = fr
-						replaced = true
-						break
-					}
-				}
-			}
-			if !replaced {
-				v.history = append(v.history, fr)
-				if len(v.history) > depth {
-					v.history = v.history[len(v.history)-depth:]
-				}
-			}
-		}
 		v.mu.Unlock()
 		select {
 		case v.frames <- fr:

@@ -131,8 +131,8 @@ func TestEvictionOfStalledFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.Lost() != 3 {
-		t.Fatalf("lost = %d, want 3", a.Lost())
+	if a.lost != 3 {
+		t.Fatalf("lost = %d, want 3", a.lost)
 	}
 }
 
@@ -264,43 +264,6 @@ func TestAssemblerRejectsCorruptPayload(t *testing.T) {
 	m := &transport.ImageMsg{FrameID: 1, PieceCount: 1, X1: 4, Y1: 4, W: 4, H: 4, Codec: "jpeg", Data: []byte{1, 2, 3}}
 	if _, err := a.Ingest(m); err == nil {
 		t.Fatal("corrupt jpeg accepted")
-	}
-}
-
-func TestViewerHistoryDepthZeroDisables(t *testing.T) {
-	d, err := transport.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ep, err := transport.Dial(d.Addr().String(), transport.RoleDisplay, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := NewViewer(ep)
-	v.HistoryDepth = 0
-	defer v.Close()
-	rend, err := transport.Dial(d.Addr().String(), transport.RoleRenderer, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rend.Close()
-	f := gradientFrame(8, 8)
-	for _, m := range encodePieces(t, f, "raw", 1, 0) {
-		if err := rend.SendImage(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-v.Frames():
-	case <-time.After(5 * time.Second):
-		t.Fatal("no frame")
-	}
-	if len(v.History()) != 0 {
-		t.Fatal("history kept despite depth 0")
-	}
-	if v.Review(0) != nil {
-		t.Fatal("review found a frame with history disabled")
 	}
 }
 

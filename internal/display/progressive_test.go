@@ -74,8 +74,8 @@ func TestProgressiveAssembly(t *testing.T) {
 	if !fr.Image.Equal(f) {
 		t.Fatal("full progressive stream must reconstruct losslessly")
 	}
-	if a.Lost() != 0 {
-		t.Fatalf("lost = %d", a.Lost())
+	if a.lost != 0 {
+		t.Fatalf("lost = %d", a.lost)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestProgressiveOrphanTailDropped(t *testing.T) {
 	if fr != nil {
 		t.Fatal("orphan tail must not deliver a frame")
 	}
-	if a.Lost() != 1 {
-		t.Fatalf("lost = %d, want 1", a.Lost())
+	if a.lost != 1 {
+		t.Fatalf("lost = %d, want 1", a.lost)
 	}
 	// The stream recovers: the next frame's full delivery still works.
 	head, tail2 := progMsgs(t, f, 10)
@@ -107,8 +107,7 @@ func TestProgressiveOrphanTailDropped(t *testing.T) {
 }
 
 // TestViewerProgressiveStats: refinements refresh the displayed frame
-// but must not inflate the frame/FPS accounting, and the history keeps
-// one (refined-in-place) entry per frame ID.
+// but must not inflate the frame/FPS accounting.
 func TestViewerProgressiveStats(t *testing.T) {
 	d, err := transport.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -151,18 +150,14 @@ func TestViewerProgressiveStats(t *testing.T) {
 	if deliveries[0].Refinement || !deliveries[1].Refinement {
 		t.Fatalf("delivery order: %+v then %+v", deliveries[0], deliveries[1])
 	}
+	if !deliveries[1].Final || !deliveries[1].Image.Equal(f) {
+		t.Fatal("refinement should deliver the final frame")
+	}
 	st := v.Stats()
 	if st.Frames != 1 {
 		t.Fatalf("frames = %d, want 1 (refinements must not count)", st.Frames)
 	}
 	if st.Refinements != 1 {
 		t.Fatalf("refinements = %d, want 1", st.Refinements)
-	}
-	hist := v.History()
-	if len(hist) != 1 {
-		t.Fatalf("history has %d entries, want 1 (refined in place)", len(hist))
-	}
-	if !hist[0].Final || !hist[0].Image.Equal(f) {
-		t.Fatal("history entry should be the refined final frame")
 	}
 }

@@ -153,13 +153,3 @@ func (c *Context) renderSamples(name string, s int) (int, error) {
 	_, st, err := render.Render(v, cam, tfn, render.DefaultOptions(), s, s)
 	return st.Samples, err
 }
-
-// Row returns the row for a dataset (nil if absent).
-func (r *DatasetsResult) Row(name string) *DatasetRow {
-	for i := range r.Rows {
-		if r.Rows[i].Dataset == name {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}

@@ -75,12 +75,3 @@ func (c *Context) printTable1(r *Table1Result) {
 	}
 	c.printf("%s\n", t.String())
 }
-
-// Ratio returns compressed/raw for a codec at a size.
-func (r *Table1Result) Ratio(codec string, size int) float64 {
-	raw := r.Bytes["raw"][size]
-	if raw == 0 {
-		return 0
-	}
-	return float64(r.Bytes[codec][size]) / float64(raw)
-}

@@ -45,6 +45,8 @@ type Breaker struct {
 	openedAt time.Time
 	probing  bool
 
+	// opens counts transitions into the open state, rejected the
+	// attempts failed fast while open.
 	opens    atomic.Int64
 	rejected atomic.Int64
 }
@@ -154,20 +156,4 @@ func (b *Breaker) StateName() string {
 		return "half-open"
 	}
 	return "closed"
-}
-
-// Opens counts transitions into the open state.
-func (b *Breaker) Opens() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.opens.Load()
-}
-
-// Rejected counts attempts failed fast while open.
-func (b *Breaker) Rejected() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.rejected.Load()
 }

@@ -106,9 +106,6 @@ type Account struct {
 	used atomic.Int64
 }
 
-// Name returns the account label.
-func (a *Account) Name() string { return a.name }
-
 // Used returns the bytes currently charged to this account.
 func (a *Account) Used() int64 { return a.used.Load() }
 
@@ -187,14 +184,6 @@ func (g *Governor) Used() int64 {
 		return 0
 	}
 	return g.total.Load()
-}
-
-// Budget returns the configured budget (0 = unbudgeted).
-func (g *Governor) Budget() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.cfg.BudgetBytes
 }
 
 // Pressure returns used/budget in [0, ∞), or 0 when unbudgeted.
@@ -371,14 +360,6 @@ func (g *Governor) PacerDepth(configured int) int {
 // and stop inserting new entries.
 func (g *Governor) CacheFillPaused() bool {
 	return g != nil && g.Level() >= LevelCache
-}
-
-// Rejected counts connections turned away by admission control.
-func (g *Governor) Rejected() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.rejected.Load()
 }
 
 // ShedCount counts clients shed at LevelShed.

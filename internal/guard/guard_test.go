@@ -101,8 +101,8 @@ func TestGovernorAdmission(t *testing.T) {
 	if ok, _ := g.Admit(true, 10); ok {
 		t.Fatal("relay admitted at pressure 0.98")
 	}
-	if g.Rejected() < 3 {
-		t.Fatalf("rejected = %d, want >= 3", g.Rejected())
+	if g.rejected.Load() < 3 {
+		t.Fatalf("rejected = %d, want >= 3", g.rejected.Load())
 	}
 }
 
@@ -198,11 +198,11 @@ func TestBreakerOpensAndProbes(t *testing.T) {
 	if b.State() != BreakerClosed || !b.Allow() {
 		t.Fatal("successful probe did not close the breaker")
 	}
-	if b.Opens() != 2 {
-		t.Fatalf("opens = %d, want 2", b.Opens())
+	if b.opens.Load() != 2 {
+		t.Fatalf("opens = %d, want 2", b.opens.Load())
 	}
-	if b.Rejected() < 2 {
-		t.Fatalf("rejected = %d, want >= 2", b.Rejected())
+	if b.rejected.Load() < 2 {
+		t.Fatalf("rejected = %d, want >= 2", b.rejected.Load())
 	}
 }
 

@@ -5,7 +5,6 @@
 package img
 
 import (
-	"errors"
 	"fmt"
 	"image"
 	"image/color"
@@ -41,13 +40,6 @@ func (im *RGBA) At(x, y int) (r, g, b, a float32) {
 func (im *RGBA) Set(x, y int, r, g, b, a float32) {
 	i := (y*im.W + x) * 4
 	im.Pix[i], im.Pix[i+1], im.Pix[i+2], im.Pix[i+3] = r, g, b, a
-}
-
-// Clear resets every pixel to transparent black.
-func (im *RGBA) Clear() {
-	for i := range im.Pix {
-		im.Pix[i] = 0
-	}
 }
 
 // Clone returns a deep copy.
@@ -96,9 +88,6 @@ func NewFrame(w, h int) *Frame {
 	return &Frame{W: w, H: h, Pix: make([]byte, w*h*3)}
 }
 
-// Bytes returns the raw pixel size of the frame.
-func (f *Frame) Bytes() int { return len(f.Pix) }
-
 // At returns the pixel at (x,y).
 func (f *Frame) At(x, y int) (r, g, b byte) {
 	i := (y*f.W + x) * 3
@@ -109,13 +98,6 @@ func (f *Frame) At(x, y int) (r, g, b byte) {
 func (f *Frame) Set(x, y int, r, g, b byte) {
 	i := (y*f.W + x) * 3
 	f.Pix[i], f.Pix[i+1], f.Pix[i+2] = r, g, b
-}
-
-// Clone returns a deep copy of the frame.
-func (f *Frame) Clone() *Frame {
-	c := NewFrame(f.W, f.H)
-	copy(c.Pix, f.Pix)
-	return c
 }
 
 // Equal reports whether two frames are pixel-identical.
@@ -233,22 +215,6 @@ func SplitRows(w, h, n int) ([]Region, error) {
 		y0 := i * h / n
 		y1 := (i + 1) * h / n
 		out[i] = Region{0, y0, w, y1}
-	}
-	return out, nil
-}
-
-// Assemble stitches sub-frames into one w*h frame according to their
-// regions. Regions must tile or partially cover the target; uncovered
-// pixels stay black.
-func Assemble(w, h int, subs []*Frame, regions []Region) (*Frame, error) {
-	if len(subs) != len(regions) {
-		return nil, errors.New("img: subs/regions length mismatch")
-	}
-	out := NewFrame(w, h)
-	for i, s := range subs {
-		if err := out.Blit(s, regions[i]); err != nil {
-			return nil, fmt.Errorf("img: assembling piece %d: %w", i, err)
-		}
 	}
 	return out, nil
 }

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Sample accumulates float64 observations.
@@ -28,9 +27,6 @@ func (s *Sample) Add(x float64) {
 	s.dirty = true
 }
 
-// AddDuration appends a duration in seconds.
-func (s *Sample) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
-
 // N returns the observation count.
 func (s *Sample) N() int { return len(s.xs) }
 
@@ -44,19 +40,6 @@ func (s *Sample) Mean() float64 {
 		t += x
 	}
 	return t / float64(len(s.xs))
-}
-
-// Std returns the sample standard deviation.
-func (s *Sample) Std() float64 {
-	if len(s.xs) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var t float64
-	for _, x := range s.xs {
-		t += (x - m) * (x - m)
-	}
-	return math.Sqrt(t / float64(len(s.xs)-1))
 }
 
 // Min returns the smallest observation (0 for empty).
@@ -258,20 +241,6 @@ type Series struct {
 func (s *Series) Add(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
-}
-
-// ArgminY returns the x at the minimum y (NaN for empty series).
-func (s *Series) ArgminY() float64 {
-	if len(s.Y) == 0 {
-		return math.NaN()
-	}
-	best := 0
-	for i, y := range s.Y {
-		if y < s.Y[best] {
-			best = i
-		}
-	}
-	return s.X[best]
 }
 
 // WriteSeries prints one or more series sharing an x-axis as columns:

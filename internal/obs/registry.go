@@ -45,19 +45,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add increments the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge.
 func (g *Gauge) Value() float64 {
 	if g == nil {

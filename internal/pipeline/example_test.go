@@ -33,10 +33,3 @@ func ExampleRun() {
 	fmt.Println(frames, m.Frames, m.Overall > 0)
 	// Output: 4 4 true
 }
-
-// The valid partition counts for a machine size: divisors of P whose
-// group size is a power of two (binary-swap's requirement).
-func ExampleGroupSizes() {
-	fmt.Println(pipeline.GroupSizes(8))
-	// Output: [1 2 4 8]
-}

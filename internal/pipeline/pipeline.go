@@ -15,7 +15,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -527,18 +526,15 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 
 	endRender := span("render")
 	t1 := time.Now()
-	ropt := opt.Render
-	if ropt.Mode == render.ModeOver {
-		// §7.1 "preprocessing ... can provide many hints to the
-		// renderer": a macrocell grid per brick lets the caster leap
-		// transparent space with bit-identical output. MIP has no use
-		// for it.
-		grid, err := accel.Build(work.brick, 0)
-		if err != nil {
-			return err
-		}
-		ropt.Accel = grid
+	// §7.1 "preprocessing ... can provide many hints to the renderer":
+	// a macrocell grid per brick lets the caster leap transparent space
+	// with bit-identical output.
+	grid, err := accel.Build(work.brick, 0)
+	if err != nil {
+		return err
 	}
+	ropt := opt.Render
+	ropt.Accel = grid
 	// The partial covers only the screen rectangle the brick's rays
 	// reach. It is allocated per step, not pooled: on dense data it is
 	// a whole frame, and pooled frames outlive GC cycles.
@@ -640,20 +636,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// GroupSizes returns the valid L values for a given P (divisors with
-// power-of-two quotient), sorted ascending — the x-axis of Figure 6.
-func GroupSizes(p int) []int {
-	var out []int
-	for l := 1; l <= p; l++ {
-		if p%l == 0 {
-			g := p / l
-			if g&(g-1) == 0 {
-				out = append(out, l)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
 }

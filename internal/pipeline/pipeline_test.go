@@ -272,27 +272,6 @@ func TestSinkErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestGroupSizes(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	got := GroupSizes(16)
-	want := []int{1, 2, 4, 8, 16}
-	if len(got) != len(want) {
-		t.Fatalf("GroupSizes(16) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GroupSizes(16) = %v", got)
-		}
-	}
-	// 12 has divisors 1,2,3,4,6,12; valid L are those with pow2 G:
-	// L=3 (G=4), L=6 (G=2), L=12 (G=1).
-	got = GroupSizes(12)
-	want = []int{3, 6, 12}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("GroupSizes(12) = %v", got)
-	}
-}
-
 func TestCustomCamera(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	store := testStore(2)

@@ -183,7 +183,7 @@ func TestChaosInteriorRelayKill(t *testing.T) {
 		}
 	}
 	for _, e := range edges {
-		if got := e.Stats().Reparents.Load(); got < 1 {
+		if got := e.stats.Reparents.Load(); got < 1 {
 			t.Errorf("edge %s reparents = %d, want >= 1", e.cfg.Name, got)
 		}
 		if p := e.Parent(); p != root.Addr().String() {

@@ -259,9 +259,6 @@ func (n *Node) Addr() net.Addr { return n.ln.Addr() }
 // Broker exposes the downstream broker (stats, snapshots, cache).
 func (n *Node) Broker() *stream.Broker { return n.broker }
 
-// Stats exposes the node counters.
-func (n *Node) Stats() *NodeStats { return &n.stats }
-
 // Provenance exposes the node's frame-provenance log (nil when not
 // configured).
 func (n *Node) Provenance() *provenance.Log { return n.cfg.Prov }

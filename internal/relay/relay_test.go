@@ -115,7 +115,7 @@ func TestTreeFanOut(t *testing.T) {
 	})
 
 	for _, n := range tree.Edges() {
-		if got := n.Stats().FramesIn.Load(); got != frames {
+		if got := n.stats.FramesIn.Load(); got != frames {
 			t.Errorf("edge %s frames in = %d, want %d", n.cfg.Name, got, frames)
 		}
 	}
@@ -133,16 +133,17 @@ func TestTreeFanOut(t *testing.T) {
 		t.Errorf("root encodes %d exceed 2 links x %d frames — fan-out cache not engaged", tiers[0], frames)
 	}
 
-	top := tree.Topology()
-	if top.RootClients != 2 {
-		t.Errorf("root clients = %d, want the 2 edge relays", top.RootClients)
+	if n := len(tree.Root.ClientSnapshots()); n != 2 {
+		t.Errorf("root clients = %d, want the 2 edge relays", n)
 	}
-	if len(top.Tiers) != 1 || len(top.Tiers[0]) != 2 {
-		t.Fatalf("topology shape %dx?, want 1 tier of 2", len(top.Tiers))
+	if len(tree.Levels) != 1 || len(tree.Levels[0]) != 2 {
+		t.Fatalf("topology shape %dx?, want 1 tier of 2", len(tree.Levels))
 	}
-	for _, st := range top.Tiers[0] {
-		if !st.Connected || st.Parent != top.RootAddr {
-			t.Errorf("edge %s parent %q, want %q", st.Name, st.Parent, top.RootAddr)
+	rootAddr := tree.Root.Addr().String()
+	for _, n := range tree.Levels[0] {
+		st := n.Status()
+		if !st.Connected || st.Parent != rootAddr {
+			t.Errorf("edge %s parent %q, want %q", st.Name, st.Parent, rootAddr)
 		}
 		if len(st.Clients) != 2 {
 			t.Errorf("edge %s clients = %d, want 2 viewers", st.Name, len(st.Clients))
@@ -197,7 +198,7 @@ func TestControlsFlowUpTree(t *testing.T) {
 	}
 	// The edge counts a control after its send to the parent returns,
 	// so the renderer can hold the control before the count moves.
-	forwarded := &tree.Edges()[0].Stats().ControlsForwarded
+	forwarded := &tree.Edges()[0].stats.ControlsForwarded
 	waitFor(t, 5*time.Second, "edge to count the forwarded control", func() bool { return forwarded.Load() >= 1 })
 	if n := forwarded.Load(); n != 1 {
 		t.Errorf("edge controls forwarded = %d, want 1", n)
@@ -228,10 +229,10 @@ func TestNodeDedup(t *testing.T) {
 	}
 	n.onImage(transport.Message{Type: transport.MsgImage, Payload: payload})
 	n.onImage(transport.Message{Type: transport.MsgImage, Payload: payload}) // replay after a simulated re-parent
-	if got := n.Stats().FramesIn.Load(); got != 1 {
+	if got := n.stats.FramesIn.Load(); got != 1 {
 		t.Fatalf("frames in = %d, want 1", got)
 	}
-	if got := n.Stats().DupDropped.Load(); got != 1 {
+	if got := n.stats.DupDropped.Load(); got != 1 {
 		t.Fatalf("dup dropped = %d, want 1", got)
 	}
 }

@@ -155,32 +155,6 @@ func (t *Tree) Nodes() []*Node {
 	return out
 }
 
-// Topology is the tree's observable shape, served under /debug/status.
-type Topology struct {
-	RootAddr    string     `json:"root_addr"`
-	RootClients int        `json:"root_clients"`
-	RootEncodes int64      `json:"root_encodes"`
-	Tiers       [][]Status `json:"tiers"`
-}
-
-// Topology snapshots every node, grouped by tier (root excluded — it
-// is a plain broker, summarized in the Root fields).
-func (t *Tree) Topology() Topology {
-	top := Topology{
-		RootAddr:    t.Root.Addr().String(),
-		RootClients: len(t.Root.ClientSnapshots()),
-		RootEncodes: t.Root.Stats().Encodes.Load(),
-	}
-	for _, level := range t.Levels {
-		row := make([]Status, 0, len(level))
-		for _, n := range level {
-			row = append(row, n.Status())
-		}
-		top.Tiers = append(top.Tiers, row)
-	}
-	return top
-}
-
 // TierEncodes sums encode invocations per tier: index 0 is the root,
 // index i>0 the i-th relay level. This is the per-tier encode count the
 // relay experiment reports.

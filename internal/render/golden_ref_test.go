@@ -163,17 +163,15 @@ func refRenderRegion(s refSampler, region vol.Box, cam *Camera, t *tf.TF, opt Op
 		}
 	}
 	rr := &refRowRenderer{
-		s:         s,
-		box:       region,
-		rect:      img.Region{X1: dst.W, Y1: dst.H},
-		cam:       cam,
-		opt:       &opt,
-		lut:       t.LUT(),
-		light:     opt.Light.Normalized(),
-		headlight: opt.Light == (Vec3{}),
-		dst:       dst,
+		s:    s,
+		box:  region,
+		rect: img.Region{X1: dst.W, Y1: dst.H},
+		cam:  cam,
+		opt:  &opt,
+		lut:  t.LUT(),
+		dst:  dst,
 	}
-	if opt.Accel != nil && opt.Mode == ModeOver {
+	if opt.Accel != nil {
 		if err := rr.useGrid(region, t); err != nil {
 			return Stats{}, err
 		}
@@ -189,8 +187,6 @@ type refRowRenderer struct {
 	opt       *Options
 	lut       []float32
 	emptyCell []bool
-	light     Vec3
-	headlight bool
 	dst       *img.RGBA
 }
 
@@ -241,15 +237,8 @@ func (rr *refRowRenderer) renderRows(y0, y1 int) Stats {
 				continue
 			}
 			st.Rays++
-			if opt.Mode == ModeMIP {
-				rr.mipRay(orig, dir, tn, tfar, &st, py*w+px)
-				continue
-			}
 			var r, g, b, a float32
-			ld := rr.light
-			if rr.headlight {
-				ld = dir.Scale(-1)
-			}
+			ld := dir.Scale(-1)
 			k0 := math.Ceil(tn / opt.Step)
 			for k := k0; ; k++ {
 				tcur := k * opt.Step
@@ -315,39 +304,6 @@ func (rr *refRowRenderer) renderRows(y0, y1 int) Stats {
 	return st
 }
 
-func (rr *refRowRenderer) mipRay(orig, dir Vec3, tn, tfar float64, st *Stats, pix int) {
-	s, step, dst := rr.s, rr.opt.Step, rr.dst
-	maxV := float32(-1)
-	k0 := math.Ceil(tn / step)
-	for k := k0; ; k++ {
-		tcur := k * step
-		if tcur >= tfar {
-			break
-		}
-		p := orig.Add(dir.Scale(tcur))
-		v := s.Normalize(s.Sample(p.X, p.Y, p.Z))
-		st.Samples++
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV < 0 {
-		return
-	}
-	cr, cg, cb, ca := rr.classify(maxV)
-	if ca <= 0 {
-		return
-	}
-	i := pix * 4
-	if ca*1 > dst.Pix[i+3] {
-		dst.Pix[i] = cr * ca
-		dst.Pix[i+1] = cg * ca
-		dst.Pix[i+2] = cb * ca
-		dst.Pix[i+3] = ca
-		st.Pixels++
-	}
-}
-
 // goldenViews are the cameras of the golden test: four orbits and an
 // eye inside the volume.
 func goldenViews(t *testing.T, d vol.Dims) map[string]*Camera {
@@ -374,9 +330,9 @@ func goldenViews(t *testing.T, d vol.Dims) map[string]*Camera {
 // The view bricks and the one concrete sampler render every pixel
 // float exactly as the copying, interface-driven caster did: the whole
 // volume through Render and 2/4/8 bricks with ghost 0/1/2 through
-// RenderRegion, under four orbits and an eye inside the volume, Over
-// with and without shading and MIP, 1/2/8 workers, with and without
-// the macrocell grid. The cached cell lookups may
+// RenderRegion, under four orbits and an eye inside the volume, with
+// and without shading, 1/2/8 workers, with and without the macrocell
+// grid. The cached cell lookups may
 // evaluate a sample the per-sample lookups leapt over — one in a
 // transparent cell — but never skip one they evaluated.
 func TestGoldenMatchesCopyingReference(t *testing.T) {
@@ -410,9 +366,8 @@ func TestGoldenMatchesCopyingReference(t *testing.T) {
 	}
 	modes := []struct {
 		name    string
-		mode    Mode
 		shading bool
-	}{{"over", ModeOver, false}, {"over-shaded", ModeOver, true}, {"mip", ModeMIP, false}}
+	}{{"over", false}, {"over-shaded", true}}
 	extra := 0
 	for camName, cam := range goldenViews(t, v.Dims) {
 		for _, tgt := range targets {
@@ -427,7 +382,7 @@ func TestGoldenMatchesCopyingReference(t *testing.T) {
 			for _, m := range modes {
 				for _, useGrid := range []bool{false, true} {
 					opt := DefaultOptions()
-					opt.Mode, opt.Shading = m.mode, m.shading
+					opt.Shading = m.shading
 					if useGrid {
 						opt.Accel = grid
 					}

@@ -15,8 +15,8 @@ import (
 
 // The tentpole invariant of the multicore engine: the parallel tile
 // renderer must be byte-identical to the serial path for every
-// supported option combination — Over/MIP, shading on/off, with and
-// without empty-space acceleration.
+// supported option combination — shading on/off, with and without
+// empty-space acceleration.
 func TestParallelGoldenIdentical(t *testing.T) {
 	v := testVolume(t)
 	cam, err := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)
@@ -28,45 +28,43 @@ func TestParallelGoldenIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const W, H = 48, 48
-	for _, mode := range []Mode{ModeOver, ModeMIP} {
-		for _, shading := range []bool{false, true} {
-			for _, useAccel := range []bool{false, true} {
-				// The caster no longer takes a pixel mask; the "mask=false"
-				// suffix keeps the subtest names stable.
-				name := fmt.Sprintf("mode=%d/shading=%v/accel=%v/mask=false", mode, shading, useAccel)
-				t.Run(name, func(t *testing.T) {
-					opt := DefaultOptions()
-					opt.Mode = mode
-					opt.Shading = shading
-					if useAccel {
-						opt.Accel = grid
-					}
-					serial := opt
-					serial.Workers = 1
-					ref := img.NewRGBA(W, H)
-					refSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), serial, ref)
+	for _, shading := range []bool{false, true} {
+		for _, useAccel := range []bool{false, true} {
+			// The caster no longer takes a pixel mask or a mode; the
+			// "mode=0" and "mask=false" parts keep the subtest names
+			// stable.
+			name := fmt.Sprintf("mode=0/shading=%v/accel=%v/mask=false", shading, useAccel)
+			t.Run(name, func(t *testing.T) {
+				opt := DefaultOptions()
+				opt.Shading = shading
+				if useAccel {
+					opt.Accel = grid
+				}
+				serial := opt
+				serial.Workers = 1
+				ref := img.NewRGBA(W, H)
+				refSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), serial, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{2, 3, 4, 7} {
+					par := opt
+					par.Workers = workers
+					got := img.NewRGBA(W, H)
+					gotSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), par, got)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, workers := range []int{2, 3, 4, 7} {
-						par := opt
-						par.Workers = workers
-						got := img.NewRGBA(W, H)
-						gotSt, err := RenderRegion(wholeBrick(t, v), v.Bounds(), cam, tf.Jet(), par, got)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := range ref.Pix {
-							if ref.Pix[i] != got.Pix[i] {
-								t.Fatalf("workers=%d: pixel float %d differs: %v vs %v", workers, i, got.Pix[i], ref.Pix[i])
-							}
-						}
-						if gotSt != refSt {
-							t.Fatalf("workers=%d: stats %+v != serial %+v", workers, gotSt, refSt)
+					for i := range ref.Pix {
+						if ref.Pix[i] != got.Pix[i] {
+							t.Fatalf("workers=%d: pixel float %d differs: %v vs %v", workers, i, got.Pix[i], ref.Pix[i])
 						}
 					}
-				})
-			}
+					if gotSt != refSt {
+						t.Fatalf("workers=%d: stats %+v != serial %+v", workers, gotSt, refSt)
+					}
+				}
+			})
 		}
 	}
 }

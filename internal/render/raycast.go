@@ -12,21 +12,8 @@ import (
 	"repro/internal/vol"
 )
 
-// Mode selects the ray compositing rule.
-type Mode int
-
-// Compositing modes.
-const (
-	// ModeOver is classic direct volume rendering: front-to-back
-	// alpha compositing of classified samples.
-	ModeOver Mode = iota
-	// ModeMIP is maximum intensity projection: the ray keeps its
-	// largest normalized sample and classifies it once — a common
-	// preview mode for scalar fields (no shading, order independent).
-	ModeMIP
-)
-
-// Options controls the ray caster.
+// Options controls the ray caster, which composites classified
+// samples front to back (classic direct volume rendering).
 type Options struct {
 	// Step is the sampling distance along the ray in grid units.
 	Step float64
@@ -39,26 +26,20 @@ type Options struct {
 	// keeps workers busy when early termination makes some tiles
 	// nearly free.
 	Workers int
-	// Shading enables gradient (Phong diffuse) shading (ModeOver
-	// only).
+	// Shading enables gradient (Phong diffuse) shading, lit by a
+	// headlight along the view ray.
 	Shading bool
-	// Light is the direction toward the light source; used when
-	// Shading is set. Zero value means headlight (along the view ray).
-	Light Vec3
 	// TerminationAlpha stops a ray once accumulated opacity exceeds
 	// this value (early ray termination). 0 means the default 0.98.
 	TerminationAlpha float32
-	// Mode selects Over (default) or MIP compositing.
-	Mode Mode
 	// Accel, when set, skips macrocells the transfer function maps to
-	// zero opacity (empty-space leaping; ModeOver only, MIP ignores
-	// it): rays are clipped to the bounding box of the non-empty cells,
-	// only that box's screen rectangle is cast, and empty cells inside
-	// it are leapt. The grid must cover the rendered region in parent
-	// coordinates and use the same normalization. Skipping is
-	// conservative: accelerated output is identical. A grid with no
-	// empty cell under the transfer function is dropped, so dense data
-	// runs the plain loop.
+	// zero opacity (empty-space leaping): rays are clipped to the
+	// bounding box of the non-empty cells, only that box's screen
+	// rectangle is cast, and empty cells inside it are leapt. The grid
+	// must cover the rendered region in parent coordinates and use the
+	// same normalization. Skipping is conservative: accelerated output
+	// is identical. A grid with no empty cell under the transfer
+	// function is dropped, so dense data runs the plain loop.
 	Accel *accel.Grid
 }
 
@@ -130,18 +111,16 @@ func newRowRenderer(b *vol.Brick, region vol.Box, cam *Camera, t *tf.TF, opt Opt
 		}
 	}
 	rr := &rowRenderer{
-		b:         b,
-		box:       region,
-		rect:      img.Region{X1: w, Y1: h},
-		w:         w,
-		h:         h,
-		cam:       cam,
-		opt:       &opt,
-		lut:       t.LUT(),
-		light:     opt.Light.Normalized(),
-		headlight: opt.Light == (Vec3{}),
+		b:    b,
+		box:  region,
+		rect: img.Region{X1: w, Y1: h},
+		w:    w,
+		h:    h,
+		cam:  cam,
+		opt:  &opt,
+		lut:  t.LUT(),
 	}
-	if opt.Accel != nil && opt.Mode == ModeOver {
+	if opt.Accel != nil {
 		if err := rr.useGrid(region, t); err != nil {
 			return nil, err
 		}
@@ -184,8 +163,6 @@ type rowRenderer struct {
 	// tf.Classify, so results are bit-identical).
 	lut       []float32
 	emptyCell []bool
-	light     Vec3
-	headlight bool
 	dst       *img.RGBA
 }
 
@@ -268,15 +245,8 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 				continue
 			}
 			st.Rays++
-			if opt.Mode == ModeMIP {
-				rr.mipRay(orig, dir, tn, tfar, &st, row+px)
-				continue
-			}
 			var r, g, b, a float32
-			ld := rr.light
-			if rr.headlight {
-				ld = dir.Scale(-1)
-			}
+			ld := dir.Scale(-1) // headlight: lit from the eye
 			// Jitter-free fixed stepping keeps partial images from
 			// different bricks consistent along the same ray: sample
 			// positions are aligned to global multiples of Step so a
@@ -359,43 +329,6 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 		}
 	}
 	return st
-}
-
-// mipRay marches one maximum-intensity-projection ray and writes the
-// classified maximum into pixel index pix of dst.
-func (rr *rowRenderer) mipRay(orig, dir Vec3, tn, tfar float64, st *Stats, pix int) {
-	br, step, dst := rr.b, rr.opt.Step, rr.dst
-	maxV := float32(-1)
-	k0 := math.Ceil(tn / step)
-	for k := k0; ; k++ {
-		tcur := k * step
-		if tcur >= tfar {
-			break
-		}
-		p := orig.Add(dir.Scale(tcur))
-		v := br.Normalize(br.Sample(p.X, p.Y, p.Z))
-		st.Samples++
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV < 0 {
-		return
-	}
-	cr, cg, cb, ca := rr.classify(maxV)
-	if ca <= 0 {
-		return
-	}
-	i := pix * 4
-	// MIP across bricks: keep the brighter contribution. Premultiplied
-	// channels scale with alpha, so compare by alpha.
-	if ca*1 > dst.Pix[i+3] {
-		dst.Pix[i] = cr * ca
-		dst.Pix[i+1] = cg * ca
-		dst.Pix[i+2] = cb * ca
-		dst.Pix[i+3] = ca
-		st.Pixels++
-	}
 }
 
 // Render ray-casts a whole volume into a new w x h image — the

@@ -359,83 +359,6 @@ func BenchmarkRender64(b *testing.B) {
 	}
 }
 
-func TestMIPMode(t *testing.T) {
-	// A volume with a single bright voxel in a dim field: MIP must
-	// classify the maximum regardless of view direction.
-	// Bright 2x2x2 block straddling the volume center (7.5,7.5,7.5)
-	// so the central ray samples the full maximum.
-	v := vol.MustNew(vol.Dims{NX: 16, NY: 16, NZ: 16})
-	v.Fill(func(x, y, z int) float32 {
-		if x >= 7 && x <= 8 && y >= 7 && y <= 8 && z >= 7 && z <= 8 {
-			return 1
-		}
-		return 0.2
-	})
-	opt := DefaultOptions()
-	opt.Mode = ModeMIP
-	gray := tf.Grayscale()
-	var vals []float32
-	for _, az := range []float64{0.3, 2.1, 4.0} {
-		cam, err := NewOrbitCamera(v.Dims, az, 0.2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		im, st, err := Render(v, cam, gray, opt, 33, 33)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Samples == 0 {
-			t.Fatal("no samples")
-		}
-		_, _, _, a := im.At(16, 16) // central ray passes the bright voxel
-		vals = append(vals, a)
-	}
-	for i, a := range vals {
-		if a < 0.9 {
-			t.Fatalf("view %d: central MIP alpha %v, want ~1 (max voxel)", i, a)
-		}
-	}
-	// An off-structure pixel sees only the dim background level.
-	cam, _ := NewOrbitCamera(v.Dims, 0.3, 0.2, 2)
-	im, _, err := Render(v, cam, gray, opt, 33, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, corner := im.At(3, 16)
-	if corner > 0.5 && corner != 0 {
-		t.Fatalf("background MIP alpha %v, want ~0.2 or 0", corner)
-	}
-}
-
-func TestMIPDiffersFromOver(t *testing.T) {
-	g := datagen.NewJetScaled(0.2, 2)
-	v, err := g.Step(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cam, _ := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)
-	over, _, err := Render(v, cam, tf.Jet(), DefaultOptions(), 32, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mopt := DefaultOptions()
-	mopt.Mode = ModeMIP
-	mip, _, err := Render(v, cam, tf.Jet(), mopt, 32, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range over.Pix {
-		if over.Pix[i] != mip.Pix[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("MIP identical to Over")
-	}
-}
-
 // Empty-space leaping is conservative: accelerated rendering must be
 // bit-identical and must skip a meaningful share of samples on sparse
 // data.
@@ -543,16 +466,13 @@ func TestAccelWithBricks(t *testing.T) {
 // RenderBrickRect renders exactly RenderBrick's pixels, but only
 // inside its rectangle; RenderBrick is transparent outside it. Jet is
 // sparse (the grid clips most of the frame), vortex dense (the grid is
-// dropped and the rectangle is the whole frame) and MIP ignores the
-// grid.
+// dropped and the rectangle is the whole frame).
 func TestRenderBrickRectMatchesRenderBrick(t *testing.T) {
 	jet := testVolume(t)
 	vortex, err := datagen.NewVortexScaled(0.25, 2).Step(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mip := DefaultOptions()
-	mip.Mode = ModeMIP
 	cases := []struct {
 		name string
 		v    *vol.Volume
@@ -563,7 +483,6 @@ func TestRenderBrickRectMatchesRenderBrick(t *testing.T) {
 	}{
 		{"jet", jet, tf.Jet(), DefaultOptions(), true},
 		{"vortex", vortex, tf.Vortex(), DefaultOptions(), false},
-		{"mip", jet, tf.Jet(), mip, false},
 	}
 	const W, H = 53, 47
 	frame := img.Region{X1: W, Y1: H}

@@ -3,6 +3,8 @@ package stream_test
 import (
 	"net"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,6 +79,25 @@ func drainFrames(v *display.Viewer, got chan<- *display.Frame) {
 		case got <- fr:
 		default:
 		}
+	}
+}
+
+// drainCodecs consumes v's frames and returns a function that lists
+// the codecs of the frames consumed so far.
+func drainCodecs(v *display.Viewer) func() []string {
+	var mu sync.Mutex
+	var codecs []string
+	go func() {
+		for fr := range v.Frames() {
+			mu.Lock()
+			codecs = append(codecs, fr.Codec)
+			mu.Unlock()
+		}
+	}()
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(codecs)
 	}
 }
 
@@ -248,21 +269,18 @@ func TestBrokerAdvertiseRestrictsLadder(t *testing.T) {
 	// display connects.
 	time.Sleep(50 * time.Millisecond)
 	v := display.NewViewer(pipeConn(t, b, transport.RoleDisplay, wan.Profile{}))
-	go func() {
-		for range v.Frames() {
-		}
-	}()
+	seen := drainCodecs(v)
 	sendFrames(t, rend, noiseFrame(32, 32), 3, 2*time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && v.Stats().Frames < 3 {
+	for time.Now().Before(deadline) && len(seen()) < 3 {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if v.Stats().Frames < 3 {
 		t.Fatalf("viewer saw %d frames", v.Stats().Frames)
 	}
-	for _, fr := range v.History() {
-		if fr.Codec != "jpeg" {
-			t.Fatalf("frame %d arrived as %q despite jpeg-only advertisement", fr.ID, fr.Codec)
+	for i, codec := range seen() {
+		if codec != "jpeg" {
+			t.Fatalf("frame %d arrived as %q despite jpeg-only advertisement", i, codec)
 		}
 	}
 }
@@ -273,14 +291,10 @@ func TestBrokerFixedPointDisabledCacheEncodesPerClient(t *testing.T) {
 	b := stream.NewBroker(stream.Config{FixedPoint: &fixed, DisableCache: true})
 	defer b.Close()
 	const clients = 3
-	var viewers []*display.Viewer
+	var seen []func() []string
 	for i := 0; i < clients; i++ {
 		v := display.NewViewer(pipeConn(t, b, transport.RoleDisplay, wan.Profile{}))
-		viewers = append(viewers, v)
-		go func() {
-			for range v.Frames() {
-			}
-		}()
+		seen = append(seen, drainCodecs(v))
 	}
 	rend := pipeConn(t, b, transport.RoleRenderer, wan.Profile{})
 	const n = 5
@@ -288,8 +302,8 @@ func TestBrokerFixedPointDisabledCacheEncodesPerClient(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		done := 0
-		for _, v := range viewers {
-			if v.Stats().Frames >= n {
+		for _, codecs := range seen {
+			if len(codecs()) >= n {
 				done++
 			}
 		}
@@ -301,10 +315,10 @@ func TestBrokerFixedPointDisabledCacheEncodesPerClient(t *testing.T) {
 	if enc := b.Stats().Encodes.Load(); enc != n*clients {
 		t.Fatalf("encodes = %d, want %d (per client, cache disabled)", enc, n*clients)
 	}
-	for i, v := range viewers {
-		for _, fr := range v.History() {
-			if fr.Codec != "jpeg" {
-				t.Fatalf("viewer %d frame %d codec %q, want fixed jpeg", i, fr.ID, fr.Codec)
+	for i, codecs := range seen {
+		for j, codec := range codecs() {
+			if codec != "jpeg" {
+				t.Fatalf("viewer %d frame %d codec %q, want fixed jpeg", i, j, codec)
 			}
 		}
 	}

@@ -107,13 +107,6 @@ func (c *EncodeCache) dropEntryLocked(k cacheKey, e *cacheEntry) {
 	}
 }
 
-// Generation returns the current cache generation.
-func (c *EncodeCache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
 // BumpGeneration starts a new frame-ID space: every resident entry is
 // evicted and requests made after the bump can never hit entries cached
 // before it. Call it when the frame-ID sequence may restart (a renderer
@@ -144,17 +137,6 @@ func (c *EncodeCache) Clear() {
 	}
 	c.stats.Evictions.Add(int64(n))
 	c.frames = c.frames[:0]
-}
-
-// Bytes reports the resident encoded payload bytes.
-func (c *EncodeCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for _, e := range c.entries {
-		n += e.bytes
-	}
-	return n
 }
 
 // Invalidate evicts the current-generation entry for (frameID, p),
@@ -249,11 +231,4 @@ func (c *EncodeCache) noteFrameLocked(frameID uint32) {
 			}
 		}
 	}
-}
-
-// Len reports resident entries (for tests).
-func (c *EncodeCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

@@ -10,6 +10,20 @@ import (
 	"repro/internal/transport"
 )
 
+// generation reads the cache's current generation.
+func generation(c *EncodeCache) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
+
+// resident counts the cache's resident entries.
+func resident(c *EncodeCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 // TestCacheGenerationPreventsStaleHit is the regression test for the
 // stale-quality/stale-frame hit path: a renderer restart re-sends frame
 // IDs from zero, and before generations were added the cache served the
@@ -37,8 +51,8 @@ func TestCacheGenerationPreventsStaleHit(t *testing.T) {
 	if gen != 1 {
 		t.Fatalf("generation = %d, want 1", gen)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("entries survive a generation bump: %d resident", c.Len())
+	if resident(c) != 0 {
+		t.Fatalf("entries survive a generation bump: %d resident", resident(c))
 	}
 	fresh := []byte("animation-2 frame 0")
 	got, err = c.GetOrEncode(0, p, func() ([]byte, error) { return fresh, nil })
@@ -73,8 +87,8 @@ func TestCacheInvalidateStepDown(t *testing.T) {
 	if c.Invalidate(7, hi) {
 		t.Fatal("second Invalidate(7, hi) = true, want no-op")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("resident entries = %d, want 1 (only the low point)", c.Len())
+	if resident(c) != 1 {
+		t.Fatalf("resident entries = %d, want 1 (only the low point)", resident(c))
 	}
 	if got := c.Stats().Invalidations.Load(); got != 1 {
 		t.Fatalf("invalidations = %d, want 1", got)
@@ -107,8 +121,8 @@ func TestCacheFrameEvictionScopedToGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("resident = %d, want capacity 2", c.Len())
+	if resident(c) != 2 {
+		t.Fatalf("resident = %d, want capacity 2", resident(c))
 	}
 	if ev := c.Stats().Evictions.Load(); ev != 3 {
 		t.Fatalf("evictions = %d, want 3", ev)
@@ -142,12 +156,12 @@ func TestBrokerRendererConnectBumpsGeneration(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if b.Cache().Generation() == want {
+			if generation(b.Cache()) == want {
 				return
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		t.Fatalf("cache generation = %d, want %d", b.Cache().Generation(), want)
+		t.Fatalf("cache generation = %d, want %d", generation(b.Cache()), want)
 	}
 
 	ep := dial()
@@ -186,7 +200,7 @@ func TestCacheConcurrentBumpAndEncode(t *testing.T) {
 					return
 				default:
 				}
-				gen := c.Generation()
+				gen := generation(c)
 				want := []byte{byte(gen), byte(id % 4)}
 				got, err := c.GetOrEncode(id%4, p, func() ([]byte, error) { return want, nil })
 				if err != nil {
@@ -204,8 +218,8 @@ func TestCacheConcurrentBumpAndEncode(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Len() > 8*4 {
-		t.Fatalf("cache grew past capacity: %d", c.Len())
+	if resident(c) > 8*4 {
+		t.Fatalf("cache grew past capacity: %d", resident(c))
 	}
 }
 

@@ -95,21 +95,3 @@ func (e *Estimator) MinRTT() time.Duration {
 	defer e.mu.Unlock()
 	return e.minRTT
 }
-
-// TransferTime predicts how long n bytes take on the estimated link:
-// serialization at the estimated bandwidth plus half the minimum RTT
-// for propagation. The minimum — not the smoothed average — stands in
-// for the propagation delay because measured round trips also absorb
-// receiver decode time and host contention; penalizing every quality
-// rung by transient queueing would drive even fast clients to the
-// floor (the same reasoning as BBR's min-RTT filter). Returns 0 when
-// nothing has been observed yet.
-func (e *Estimator) TransferTime(n int) time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.bwSamples == 0 || e.bw <= 0 {
-		return 0
-	}
-	d := time.Duration(float64(n) / e.bw * float64(time.Second))
-	return d + e.minRTT/2
-}

@@ -7,6 +7,17 @@ import (
 	"repro/internal/img"
 )
 
+// queuedBytes sums the payload bytes of the frames p holds.
+func queuedBytes(p *Pacer) int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for _, f := range p.q {
+		n += f.Size()
+	}
+	return n
+}
+
 // frameOf builds a SourceFrame with real pixel bytes charged to acct,
 // mirroring what Broker.ingest does when guarded.
 func frameOf(id uint32, w, h int, acct *guard.Account) *SourceFrame {
@@ -59,11 +70,11 @@ func TestPacerEvictionUnderSustainedOverload(t *testing.T) {
 		if n := p.Len(); n > depth {
 			t.Fatalf("after frame %d: %d queued, depth %d", i, n, depth)
 		}
-		if got, want := p.Bytes(), int64(p.Len())*frameBytes; got != want {
+		if got, want := queuedBytes(p), int64(p.Len())*frameBytes; got != want {
 			t.Fatalf("after frame %d: pacer bytes %d, want %d", i, got, want)
 		}
-		if got := pacerAcct.Used(); got != p.Bytes() {
-			t.Fatalf("after frame %d: account %d, queue %d", i, got, p.Bytes())
+		if got := pacerAcct.Used(); got != queuedBytes(p) {
+			t.Fatalf("after frame %d: account %d, queue %d", i, got, queuedBytes(p))
 		}
 	}
 

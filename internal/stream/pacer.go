@@ -55,7 +55,6 @@ type Pacer struct {
 	cond   *sync.Cond
 	depth  int
 	q      []*SourceFrame
-	bytes  int64
 	drops  int64
 	closed bool
 
@@ -105,12 +104,10 @@ func (p *Pacer) Offer(f *SourceFrame) (accepted bool, dropped []*SourceFrame) {
 		victim := p.q[0]
 		p.q = p.q[1:]
 		p.drops++
-		p.bytes -= victim.Size()
 		p.acct.Release(victim.Size())
 		dropped = append(dropped, victim)
 	}
 	p.q = append(p.q, f)
-	p.bytes += f.Size()
 	p.acct.Add(f.Size())
 	p.cond.Signal()
 	return true, dropped
@@ -129,7 +126,6 @@ func (p *Pacer) Next() (f *SourceFrame, ok bool) {
 	}
 	f = p.q[0]
 	p.q = p.q[1:]
-	p.bytes -= f.Size()
 	p.acct.Release(f.Size())
 	return f, true
 }
@@ -147,13 +143,6 @@ func (p *Pacer) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.q)
-}
-
-// Bytes reports the queued frame payload bytes.
-func (p *Pacer) Bytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bytes
 }
 
 // Drops reports how many frames were discarded to bound the backlog.

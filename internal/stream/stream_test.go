@@ -14,7 +14,7 @@ import (
 
 func TestEstimatorBandwidthEWMA(t *testing.T) {
 	e := NewEstimator(0.3)
-	if e.Bandwidth() != 0 || e.TransferTime(1000) != 0 {
+	if e.Bandwidth() != 0 {
 		t.Fatal("estimator should start unknown")
 	}
 	for i := 0; i < 20; i++ {
@@ -50,17 +50,11 @@ func TestEstimatorRTT(t *testing.T) {
 	if min := e.MinRTT(); min != 50*time.Millisecond {
 		t.Fatalf("min rtt = %v, want 50ms", min)
 	}
-	// TransferTime includes half the minimum RTT as propagation.
-	e.Observe(1000, 10*time.Millisecond)
-	tt := e.TransferTime(1000)
-	if tt < 30*time.Millisecond {
-		t.Fatalf("transfer time %v should include minRTT/2", tt)
-	}
-	// A contention spike raises the smoothed RTT but not the predicted
-	// transfer time.
+	// A contention spike raises the smoothed RTT but not the
+	// propagation floor the controller plans with.
 	e.ObserveRTT(2 * time.Second)
-	if tt2 := e.TransferTime(1000); tt2 != tt {
-		t.Fatalf("transfer time moved %v -> %v on an RTT spike", tt, tt2)
+	if min := e.MinRTT(); min != 50*time.Millisecond {
+		t.Fatalf("min rtt moved to %v on an RTT spike", min)
 	}
 }
 
@@ -218,7 +212,7 @@ func TestEncodeCacheEvictsOldFrames(t *testing.T) {
 	if ev := cache.Stats().Evictions.Load(); ev != 4 {
 		t.Fatalf("evictions = %d, want 4 (2 frames x 2 points)", ev)
 	}
-	if n := cache.Len(); n != 4 {
+	if n := resident(cache); n != 4 {
 		t.Fatalf("resident entries = %d, want 4", n)
 	}
 }

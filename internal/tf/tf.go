@@ -188,13 +188,6 @@ func (t *TF) Classify(v float32) (r, g, b, a float32) {
 	return t.lut[i*4], t.lut[i*4+1], t.lut[i*4+2], t.lut[i*4+3]
 }
 
-// Points returns a copy of the control points.
-func (t *TF) Points() []Point {
-	out := make([]Point, len(t.points))
-	copy(out, t.points)
-	return out
-}
-
 // Marshal serializes the transfer function: uint32 point count, then
 // 5 float32 per point, little-endian. This is the wire format used by
 // the user-control channel.

@@ -62,7 +62,7 @@ func TestValuesClampedIntoUnit(t *testing.T) {
 		{V: -2, R: -1, G: 2, B: 0.5, A: 3},
 		{V: 5, R: 0, G: 0, B: 0, A: 0},
 	})
-	pts := u.Points()
+	pts := u.points
 	if pts[0].V != 0 || pts[0].R != 0 || pts[0].G != 1 || pts[0].A != 1 {
 		t.Fatalf("clamping failed: %+v", pts[0])
 	}
@@ -81,7 +81,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		op, gp := orig.Points(), got.Points()
+		op, gp := orig.points, got.points
 		if len(op) != len(gp) {
 			t.Fatalf("%s: point count %d != %d", name, len(gp), len(op))
 		}

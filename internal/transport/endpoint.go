@@ -145,12 +145,8 @@ func (e *Endpoint) CorruptDropped() int64 { return e.corrupt.Load() }
 // LastRecv returns the time of the most recent inbound message.
 func (e *Endpoint) LastRecv() time.Time { return time.Unix(0, e.lastRecv.Load()) }
 
-// RTT returns the round-trip observed by the most recent answered
-// ping (zero before the first pong).
-func (e *Endpoint) RTT() time.Duration { return time.Duration(e.rttNS.Load()) }
-
-// Ping sends a liveness probe carrying the current clock; the RTT
-// becomes observable via RTT when the pong returns.
+// Ping sends a liveness probe carrying the current clock; the pong
+// records the round trip.
 func (e *Endpoint) Ping() error {
 	return e.Send(Message{Type: MsgPing, Payload: MarshalPing(time.Now().UnixNano())})
 }

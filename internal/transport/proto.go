@@ -6,6 +6,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -265,11 +266,11 @@ func (f Framer) ReadMessage(r io.Reader) (Message, error) {
 		if n > maxMessage {
 			return Message{}, fmt.Errorf("transport: message length %d: %w", n, ErrTooLarge)
 		}
-		m := Message{Type: MsgType(hdr[4]), Payload: make([]byte, n)}
-		if _, err := io.ReadFull(r, m.Payload); err != nil {
+		payload, err := readBody(r, int(n))
+		if err != nil {
 			return Message{}, err
 		}
-		return m, nil
+		return Message{Type: MsgType(hdr[4]), Payload: payload}, nil
 	}
 	var hdr [6]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -283,8 +284,8 @@ func (f Framer) ReadMessage(r io.Reader) (Message, error) {
 	if hdr[5]&flagTrace != 0 {
 		extra = traceCtxSize
 	}
-	body := make([]byte, extra+n+4)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(extra+n+4))
+	if err != nil {
 		return Message{}, err
 	}
 	trace, payload, trailer := body[:extra], body[extra:extra+n], body[extra+n:]
@@ -306,6 +307,38 @@ func (f Framer) ReadMessage(r io.Reader) (Message, error) {
 		m.Trace = tc
 	}
 	return m, nil
+}
+
+// readChunk is the most ReadMessage allocates ahead of the bytes that
+// have arrived. A length prefix is the peer's claim, and any peer that
+// connects gets its hello read, so memory must follow the data, not
+// the claim.
+const readChunk = 64 << 10
+
+// readBody reads exactly n bytes. A body of up to readChunk bytes is
+// read into one allocation; a longer one arrives in readChunk pieces
+// that are joined once the last has come.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	if n <= readChunk {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	var pieces [][]byte
+	for got := 0; got < n; {
+		piece := make([]byte, min(readChunk, n-got))
+		if _, err := io.ReadFull(r, piece); err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		pieces = append(pieces, piece)
+		got += len(piece)
+	}
+	return bytes.Join(pieces, nil), nil
 }
 
 // HelloPayload builds a hello (or welcome) payload advertising a role

@@ -214,10 +214,10 @@ func TestEndpointPingMeasuresRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for ep.RTT() == 0 && time.Now().Before(deadline) {
+	for ep.rttNS.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if ep.RTT() <= 0 {
+	if ep.rttNS.Load() <= 0 {
 		t.Fatal("no pong observed")
 	}
 }

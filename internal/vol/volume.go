@@ -13,7 +13,6 @@ package vol
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Dims describes the grid resolution of a volume.
@@ -67,20 +66,6 @@ func MustNew(d Dims) *Volume {
 	return v
 }
 
-// FromData wraps an existing data slice; it must have exactly
-// d.Count() elements.
-func FromData(d Dims, data []float32) (*Volume, error) {
-	if !d.Valid() {
-		return nil, fmt.Errorf("%w: %v", ErrDims, d)
-	}
-	if len(data) != d.Count() {
-		return nil, fmt.Errorf("vol: data length %d != %d for dims %v", len(data), d.Count(), d)
-	}
-	v := &Volume{Dims: d, Data: data}
-	v.UpdateRange()
-	return v, nil
-}
-
 // Index returns the linear index of grid point (x,y,z). No bounds
 // checking; callers must pass in-range coordinates.
 func (v *Volume) Index(x, y, z int) int {
@@ -92,25 +77,6 @@ func (v *Volume) At(x, y, z int) float32 { return v.Data[v.Index(x, y, z)] }
 
 // Set stores val at grid point (x,y,z).
 func (v *Volume) Set(x, y, z int, val float32) { v.Data[v.Index(x, y, z)] = val }
-
-// AtClamped returns the value at (x,y,z) with coordinates clamped into
-// range, so out-of-bounds lookups repeat the boundary value.
-func (v *Volume) AtClamped(x, y, z int) float32 {
-	x = clampInt(x, 0, v.Dims.NX-1)
-	y = clampInt(y, 0, v.Dims.NY-1)
-	z = clampInt(z, 0, v.Dims.NZ-1)
-	return v.Data[v.Index(x, y, z)]
-}
-
-func clampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
 
 // UpdateRange recomputes Min and Max from the data. Call after bulk
 // writes to Data.
@@ -179,17 +145,4 @@ func (v *Volume) Equal(o *Volume) bool {
 		}
 	}
 	return true
-}
-
-// RMS returns the root-mean-square of the field, a cheap content
-// fingerprint used by tests.
-func (v *Volume) RMS() float64 {
-	if len(v.Data) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v.Data {
-		s += float64(x) * float64(x)
-	}
-	return math.Sqrt(s / float64(len(v.Data)))
 }

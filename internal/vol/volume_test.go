@@ -25,19 +25,6 @@ func TestNewAllocates(t *testing.T) {
 	}
 }
 
-func TestFromDataLengthCheck(t *testing.T) {
-	if _, err := FromData(Dims{2, 2, 2}, make([]float32, 7)); err == nil {
-		t.Fatal("want length mismatch error")
-	}
-	v, err := FromData(Dims{2, 2, 2}, []float32{1, 2, 3, 4, 5, 6, 7, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Min != 1 || v.Max != 8 {
-		t.Fatalf("range = [%v,%v], want [1,8]", v.Min, v.Max)
-	}
-}
-
 func TestIndexRoundTrip(t *testing.T) {
 	v := MustNew(Dims{5, 7, 3})
 	seen := map[int]bool{}
@@ -62,12 +49,6 @@ func TestSetAt(t *testing.T) {
 	v.Set(1, 2, 3, 42)
 	if got := v.At(1, 2, 3); got != 42 {
 		t.Fatalf("At=%v want 42", got)
-	}
-	if got := v.AtClamped(-5, 2, 3); got != v.At(0, 2, 3) {
-		t.Fatalf("AtClamped low clamp failed: %v", got)
-	}
-	if got := v.AtClamped(1, 2, 99); got != v.At(1, 2, 3) {
-		t.Fatalf("AtClamped high clamp failed: %v", got)
 	}
 }
 

@@ -25,17 +25,6 @@ type Profile struct {
 	Burst float64
 }
 
-// Validate checks the profile for nonsensical values.
-func (p Profile) Validate() error {
-	if p.Latency < 0 {
-		return fmt.Errorf("wan: negative latency %v", p.Latency)
-	}
-	if p.Bandwidth < 0 {
-		return fmt.Errorf("wan: negative bandwidth %v", p.Bandwidth)
-	}
-	return nil
-}
-
 // TransferTime returns the modelled time to push n bytes through the
 // link: serialization at the bandwidth plus one propagation delay.
 // Used by the discrete-event simulator; the shaped Conn produces the
@@ -266,11 +255,4 @@ func (c *readConn) Read(b []byte) (int, error) {
 // profile.
 func ShapeReads(c net.Conn, p Profile) net.Conn {
 	return &readConn{Conn: c, bk: newBucket(p)}
-}
-
-// Pipe returns a connected in-memory pair with both directions shaped
-// to the profile — the standard fixture for transport tests.
-func Pipe(p Profile) (client, server net.Conn) {
-	a, b := net.Pipe()
-	return Shape(a, p), Shape(b, p)
 }

@@ -21,18 +21,6 @@ func TestTransferTime(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := (Profile{Latency: -1}).Validate(); err == nil {
-		t.Fatal("negative latency accepted")
-	}
-	if err := (Profile{Bandwidth: -5}).Validate(); err == nil {
-		t.Fatal("negative bandwidth accepted")
-	}
-	if err := NASAUCD().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, n := range []string{"nasa-ucd", "japan-ucd", "lan", "unlimited"} {
 		p, err := ByName(n)
@@ -112,21 +100,6 @@ func TestUnshapedPassThrough(t *testing.T) {
 	}
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("unshaped write took %v", el)
-	}
-}
-
-func TestPipeBothEndsWork(t *testing.T) {
-	c, s := Pipe(Profile{Bandwidth: 10e6, Burst: 4 << 10})
-	msg := []byte("hello over the wan")
-	go func() {
-		c.Write(msg)
-	}()
-	buf := make([]byte, len(msg))
-	if _, err := io.ReadFull(s, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != string(msg) {
-		t.Fatalf("got %q", buf)
 	}
 }
 
