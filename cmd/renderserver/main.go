@@ -39,7 +39,6 @@ func main() {
 	pieces := flag.Int("pieces", 1, "compressed sub-images per frame (parallel compression)")
 	link := flag.String("link", "", "shape the daemon connection: nasa-ucd, japan-ucd, lan")
 	loop := flag.Bool("loop", false, "repeat the animation until interrupted")
-	region := flag.Bool("regioninput", false, "parallel I/O: each node reads its own brick (§7.1)")
 	nodeLinks := flag.Bool("nodelinks", false, "one daemon connection per compressed piece (Figure 2)")
 	reconnect := flag.Bool("reconnect", false, "survive daemon restarts: auto-redial with exponential backoff, dropping frames while the link is down")
 	heartbeat := flag.Duration("heartbeat", 0, "with -reconnect: ping the daemon on this interval and redial after 3x of inbound silence (0 = off)")
@@ -61,7 +60,7 @@ func main() {
 		ImageW: *size, ImageH: *size,
 		Codec: *codec, Pieces: *pieces,
 		TF: tfn, Steps: *steps, Loop: *loop,
-		RegionInput: *region, NodeLinks: *nodeLinks,
+		NodeLinks: *nodeLinks,
 	}
 	var br *guard.Breaker
 	if *reconnect {

@@ -36,9 +36,9 @@ const MaxPixels = 1 << 22
 // MaxLevels bounds the wavelet decomposition depth.
 const MaxLevels = 8
 
-// DefaultLevels is the decomposition depth used when Codec.Levels is
-// unset (clamped down for tiny frames). Four levels put the preview
-// band at 1/256 of the pixels.
+// DefaultLevels is the decomposition depth the encoder uses (clamped
+// down for tiny frames). Four levels put the preview band at 1/256 of
+// the pixels.
 const DefaultLevels = 4
 
 // magic identifies a prog stream.
@@ -59,9 +59,6 @@ var ErrCorrupt = errors.New("prog: corrupt stream")
 // Codec is the progressive frame codec. The zero value encodes every
 // pass (lossless) at DefaultLevels with one worker per CPU.
 type Codec struct {
-	// Levels is the wavelet decomposition depth; <=0 means
-	// DefaultLevels, clamped to what the frame size supports.
-	Levels int
 	// Passes, when positive, emits only the first Passes passes —
 	// a deliberately truncated (preview) stream. 0 emits all
 	// levels+1 passes.
@@ -89,15 +86,9 @@ func maxLevelsFor(w, h int) int {
 	return n
 }
 
-func (c Codec) levelsFor(w, h int) int {
-	l := c.Levels
-	if l <= 0 {
-		l = DefaultLevels
-	}
-	if m := maxLevelsFor(w, h); l > m {
-		l = m
-	}
-	return l
+// levelsFor returns the encoder's decomposition depth for a w×h frame.
+func levelsFor(w, h int) int {
+	return min(DefaultLevels, maxLevelsFor(w, h))
 }
 
 // dims returns the per-level low-band dimensions: dims[0] = (w,h),
@@ -315,7 +306,7 @@ func (c Codec) EncodeFrame(f *img.Frame) ([]byte, error) {
 	if len(f.Pix) != f.W*f.H*3 {
 		return nil, fmt.Errorf("prog: frame payload %d != %d", len(f.Pix), f.W*f.H*3)
 	}
-	levels := c.levelsFor(f.W, f.H)
+	levels := levelsFor(f.W, f.H)
 	total := levels + 1
 	emit := total
 	if c.Passes > 0 && c.Passes < total {

@@ -52,15 +52,10 @@ type ServerOptions struct {
 	TF *tf.TF
 	// View is the initial orbit view; zero value gets a default.
 	View control.ViewEvent
-	// Render are the ray-casting options (zero = defaults).
-	Render render.Options
 	// Steps caps steps per pass (0 = all); Loop repeats passes until
 	// Stop, re-rendering the animation.
 	Steps int
 	Loop  bool
-	// RegionInput enables the §7.1 parallel-I/O input path (requires
-	// the store to support region reads).
-	RegionInput bool
 	// NodeLinks opens one renderer-interface connection per
 	// compressed piece, as in the paper's Figure 2 where each compute
 	// node talks to the daemon itself; pieces of a frame then travel
@@ -340,13 +335,11 @@ func (s *Server) Run() error {
 		popt := pipeline.Options{
 			P: s.opt.P, L: s.opt.L,
 			ImageW: s.opt.ImageW, ImageH: s.opt.ImageH,
-			TF:          s.opt.TF,
-			Render:      s.opt.Render,
-			Steps:       steps,
-			EmitPieces:  true,
-			RegionInput: s.opt.RegionInput,
-			Trace:       s.opt.Trace,
-			Metrics:     s.opt.Metrics,
+			TF:         s.opt.TF,
+			Steps:      steps,
+			EmitPieces: true,
+			Trace:      s.opt.Trace,
+			Metrics:    s.opt.Metrics,
 			TFFn: func(step int) *tf.TF {
 				s.mu.Lock()
 				defer s.mu.Unlock()

@@ -54,9 +54,7 @@ type Plan struct {
 	// written-byte count crosses it — a transient partition that TCP
 	// survives but frame pacing notices.
 	StallAfterBytes int64
-	// StallEveryBytes stalls recurringly, every N written bytes.
-	StallEveryBytes int64
-	// Stall is the pause applied by the stall triggers.
+	// Stall is the pause applied by the stall trigger.
 	Stall time.Duration
 
 	// SlowStartBytes throttles the first N written bytes to
@@ -277,16 +275,11 @@ func (c *Conn) Write(b []byte) (int, error) {
 		return 0, fmt.Errorf("fault: connection dropped at byte %d: %w", start, ErrInjected)
 	}
 
-	// Stall triggers.
+	// Stall trigger.
 	stall := time.Duration(0)
-	if plan.Stall > 0 {
-		if plan.StallAfterBytes > 0 && !c.stalled && end > plan.StallAfterBytes {
-			c.stalled = true
-			stall = plan.Stall
-		}
-		if plan.StallEveryBytes > 0 && end/plan.StallEveryBytes > start/plan.StallEveryBytes {
-			stall = plan.Stall
-		}
+	if plan.Stall > 0 && plan.StallAfterBytes > 0 && !c.stalled && end > plan.StallAfterBytes {
+		c.stalled = true
+		stall = plan.Stall
 	}
 
 	// Corruption: flip bytes at exact offsets, or every N bytes.

@@ -53,11 +53,21 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram accumulates observations and summarizes them with
-// p50/p95/p99 quantiles via metrics.Sample.
+// histWindow is how many of the most recent observations a Histogram
+// keeps for its quantiles.
+const histWindow = 1024
+
+// Histogram accumulates observations. Count, sum, min and max cover
+// every observation; p50/p95/p99 cover the last histWindow, so memory
+// and scrape cost stay fixed however long the process runs.
 type Histogram struct {
-	mu sync.Mutex
-	s  metrics.Sample
+	mu       sync.Mutex
+	n        int
+	sum      float64
+	min, max float64
+	// recent is a ring of the last histWindow observations; slot
+	// n % histWindow is the next to overwrite once it is full.
+	recent []float64
 }
 
 // Observe records one observation.
@@ -66,21 +76,46 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.mu.Lock()
-	h.s.Add(v)
+	if h.n == 0 || v < h.min {
+		h.min = v
+	}
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
+	if len(h.recent) < histWindow {
+		if h.recent == nil {
+			h.recent = make([]float64, 0, histWindow)
+		}
+		h.recent = append(h.recent, v)
+	} else {
+		h.recent[h.n%histWindow] = v
+	}
+	h.n++
+	h.sum += v
 	h.mu.Unlock()
 }
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Summary snapshots the histogram statistics.
+// Summary snapshots the histogram statistics: quantiles over the
+// recent window, everything else over all observations.
 func (h *Histogram) Summary() metrics.Summary {
 	if h == nil {
 		return metrics.Summary{}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.s.Summary()
+	var w metrics.Sample
+	for _, v := range h.recent {
+		w.Add(v)
+	}
+	s := w.Summary()
+	s.N, s.Sum, s.Min, s.Max = h.n, h.sum, h.min, h.max
+	if h.n > 0 {
+		s.Mean = h.sum / float64(h.n)
+	}
+	return s
 }
 
 // Emit is the callback collectors use to publish dynamic series at

@@ -37,6 +37,27 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	}
 }
 
+// A histogram fed for the life of a process keeps a fixed window for
+// its quantiles, while its count, sum, min and max stay exact.
+func TestHistogramMemoryBounded(t *testing.T) {
+	var h Histogram
+	const n = 1_000_000
+	for i := 0; i < n; i++ {
+		h.Observe(float64(i))
+	}
+	if len(h.recent) > histWindow || cap(h.recent) > histWindow {
+		t.Fatalf("retained %d values (cap %d), want at most %d", len(h.recent), cap(h.recent), histWindow)
+	}
+	s := h.Summary()
+	if s.N != n || s.Sum != float64(n)*(n-1)/2 || s.Min != 0 || s.Max != n-1 {
+		t.Fatalf("summary = %+v", s)
+	}
+	// Nearest-rank p50 of the last 1024 values, n-1024 .. n-1.
+	if want := float64(n - histWindow + histWindow/2 - 1); s.P50 != want {
+		t.Fatalf("p50 = %v, want %v (recent window)", s.P50, want)
+	}
+}
+
 func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	var r *Registry
 	r.Counter("x", "").Inc()

@@ -72,18 +72,11 @@ type Options struct {
 	BeforeStep func(step int)
 	// Render are the ray-casting options (zero value = defaults).
 	Render render.Options
-	// Ghost is the brick ghost-cell width (default 2).
-	Ghost int
 	// Steps caps the number of steps rendered (0 = all in store).
 	Steps int
 	// EmitPieces delivers per-node pieces instead of assembled
 	// frames (the parallel-compression path).
 	EmitPieces bool
-	// RegionInput makes every node fetch its own (ghosted) brick
-	// directly from storage instead of the leader reading the whole
-	// step and scattering bricks — the paper's §7.1 parallel-I/O
-	// extension. Requires the store to implement volio.RegionStore.
-	RegionInput bool
 	// Trace receives one span per stage (fetch, render, composite,
 	// deliver) per group and step, recorded at the group leader — the
 	// raw material of the paper's pipelining Gantt. Nil disables.
@@ -129,9 +122,6 @@ func (o *Options) normalize(store volio.Store) error {
 	if o.TF == nil {
 		return fmt.Errorf("pipeline: nil transfer function")
 	}
-	if o.Ghost == 0 {
-		o.Ghost = 2
-	}
 	if o.Render.Step == 0 {
 		o.Render = render.DefaultOptions()
 	}
@@ -141,11 +131,6 @@ func (o *Options) normalize(store volio.Store) error {
 	if o.CameraFn == nil {
 		o.CameraFn = func(step int, d vol.Dims) (*render.Camera, error) {
 			return render.NewOrbitCamera(d, 0.6, 0.35, 1.8)
-		}
-	}
-	if o.RegionInput {
-		if _, ok := store.(volio.RegionStore); !ok {
-			return fmt.Errorf("pipeline: RegionInput requires a volio.RegionStore, got %T", store)
 		}
 	}
 	return nil
@@ -397,6 +382,10 @@ var (
 	tagPiece = comm.RegisterTagClass("pipeline.pieces", 1)
 )
 
+// ghost is the brick ghost-cell width: the neighbourhood each brick
+// needs for interpolation and gradients at its faces.
+const ghost = 2
+
 // stepWork is the leader's per-step distribution payload: the node's
 // brick plus the step's resolved camera and transfer function.
 type stepWork struct {
@@ -435,44 +424,7 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 
 	var work stepWork
 	var inputTime time.Duration
-	if opt.RegionInput {
-		// Parallel I/O: the leader resolves camera/TF and broadcasts
-		// the small control payload; every node then pulls its own
-		// ghosted brick from storage concurrently.
-		if gc.Rank() == 0 {
-			if opt.BeforeStep != nil {
-				opt.BeforeStep(step)
-			}
-			cam, err := opt.CameraFn(step, dims)
-			if err != nil {
-				return err
-			}
-			tfn := opt.TF
-			if opt.TFFn != nil {
-				tfn = opt.TFFn(step)
-			}
-			work = stepWork{cam: cam, tf: tfn}
-			for i := 1; i < g; i++ {
-				gc.Send(i, tagWork.Tag(step, 0), work, 64)
-			}
-		} else {
-			payload, _ := gc.Recv(0, tagWork.Tag(step, 0))
-			var ok bool
-			work, ok = payload.(stepWork)
-			if !ok {
-				return fmt.Errorf("unexpected work payload %T", payload)
-			}
-		}
-		endFetch := span("fetch")
-		t0 := time.Now()
-		b, err := fetchBrickRegion(store.(volio.RegionStore), step, boxes[gc.Rank()], opt.Ghost, dims)
-		if err != nil {
-			return err
-		}
-		work.brick = b
-		inputTime = time.Since(t0)
-		endFetch()
-	} else if gc.Rank() == 0 {
+	if gc.Rank() == 0 {
 		if opt.BeforeStep != nil {
 			opt.BeforeStep(step)
 		}
@@ -501,13 +453,13 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 			return err
 		}
 		for i := 1; i < g; i++ {
-			b, err := v.Extract(boxes[i], opt.Ghost)
+			b, err := v.Extract(boxes[i], ghost)
 			if err != nil {
 				return err
 			}
 			gc.Send(i, tagWork.Tag(step, 0), stepWork{brick: b, cam: cam, tf: tfn}, int(b.Dims.Bytes()))
 		}
-		b, err := v.Extract(boxes[0], opt.Ghost)
+		b, err := v.Extract(boxes[0], ghost)
 		if err != nil {
 			return err
 		}
@@ -606,34 +558,4 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 		f.Pieces = nil
 	}
 	return deliver(f)
-}
-
-// fetchBrickRegion reads one node's ghosted brick straight from a
-// region-capable store and views the fetched volume in place.
-func fetchBrickRegion(rs volio.RegionStore, step int, region vol.Box, ghost int, dims vol.Dims) (*vol.Brick, error) {
-	full := vol.Box{X1: dims.NX, Y1: dims.NY, Z1: dims.NZ}
-	region = region.Intersect(full)
-	g := vol.Box{
-		X0: maxInt(region.X0-ghost, 0), Y0: maxInt(region.Y0-ghost, 0), Z0: maxInt(region.Z0-ghost, 0),
-		X1: minInt(region.X1+ghost, dims.NX), Y1: minInt(region.Y1+ghost, dims.NY), Z1: minInt(region.Z1+ghost, dims.NZ),
-	}
-	sub, err := rs.FetchRegion(step, g)
-	if err != nil {
-		return nil, err
-	}
-	return sub.Place([3]int{g.X0, g.Y0, g.Z0}, region, dims)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,6 @@ import (
 
 	"fmt"
 	"math"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -300,73 +299,6 @@ func BenchmarkPipeline4x2(b *testing.B) {
 		}
 	}
 }
-
-// The parallel-I/O input path (§7.1) must produce frames identical to
-// the leader-scatter path, over both a generator store and a real
-// dataset file.
-func TestRegionInputMatchesScatter(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	const steps = 2
-	dir := t.TempDir()
-	path := filepath.Join(dir, "jet.tvv")
-	if err := volio.WriteDataset(path, datagen.NewJetScaled(0.15, steps)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := volio.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	run := func(store volio.Store, region bool) []*img.RGBA {
-		opt := baseOptions(4, 1)
-		opt.RegionInput = region
-		opt.Render.TerminationAlpha = 1
-		imgs := make([]*img.RGBA, steps)
-		var mu sync.Mutex
-		if _, err := Run(store, opt, func(f *Frame) error {
-			mu.Lock()
-			imgs[f.Step] = f.Image
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return imgs
-	}
-	fileStore := volio.FileStore{R: r}
-	scatter := run(fileStore, false)
-	region := run(fileStore, true)
-	for s := range scatter {
-		for i := range scatter[s].Pix {
-			if math.Abs(float64(scatter[s].Pix[i]-region[s].Pix[i])) > 5e-3 {
-				t.Fatalf("step %d differs between scatter and region input", s)
-			}
-		}
-	}
-	// Generator-backed store supports the same path.
-	genRegion := run(volio.NewGenStore(datagen.NewJetScaled(0.15, steps)), true)
-	if genRegion[0] == nil {
-		t.Fatal("generator region input produced nothing")
-	}
-}
-
-func TestRegionInputRequiresRegionStore(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	opt := baseOptions(2, 1)
-	opt.RegionInput = true
-	_, err := Run(plainStore{testStore(1)}, opt, nil)
-	if err == nil {
-		t.Fatal("non-region store accepted")
-	}
-}
-
-// plainStore hides the RegionStore capability of the wrapped store.
-type plainStore struct{ s volio.Store }
-
-func (p plainStore) Dims() vol.Dims                   { return p.s.Dims() }
-func (p plainStore) Steps() int                       { return p.s.Steps() }
-func (p plainStore) Fetch(t int) (*vol.Volume, error) { return p.s.Fetch(t) }
 
 // The pipeline always renders through a per-brick macrocell grid. Its
 // frames must equal, float for float, what the grid-less ray caster

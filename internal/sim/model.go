@@ -50,12 +50,7 @@ func Analytic(c Config) (Result, error) {
 		// next step's work.
 		bottleneck = math.Max(inputT+groupT, math.Max(sendT, decodeT))
 	} else {
-		perGroupRate := groupT / float64(c.L)
-		if !c.ParallelInput {
-			bottleneck = math.Max(inputT, perGroupRate)
-		} else {
-			bottleneck = math.Max(inputT/float64(c.L), perGroupRate)
-		}
+		bottleneck = math.Max(inputT, groupT/float64(c.L))
 		bottleneck = math.Max(bottleneck, math.Max(sendT, decodeT))
 	}
 	overall := startup + float64(w.Steps-1)*bottleneck

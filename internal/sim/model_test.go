@@ -56,18 +56,3 @@ func TestAnalyticValidation(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 }
-
-func TestAnalyticParallelInput(t *testing.T) {
-	w := paperWorkload(64)
-	serial, err := Analytic(Config{Machine: RWCP(), Work: w, P: 32, L: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Analytic(Config{Machine: RWCP(), Work: w, P: 32, L: 4, ParallelInput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Overall > serial.Overall {
-		t.Fatalf("parallel input worse in model: %v > %v", par.Overall, serial.Overall)
-	}
-}

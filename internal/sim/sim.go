@@ -128,13 +128,6 @@ type Config struct {
 	// first approach (L=1, "the pipeline effect is ignored"). It is
 	// implied when L == 1.
 	NoPipeline bool
-	// ParallelInput models the paper's §7.1 extension: with parallel
-	// I/O support each group reads its own time step concurrently
-	// instead of sharing one sequential input path ("Parallel I/O, if
-	// available, can be incorporated into the pipeline rendering
-	// process quite straightforwardly, and would improve the overall
-	// system performance").
-	ParallelInput bool
 	// Failures schedules group deaths — the virtual-time mirror of the
 	// real pipeline's skip-and-continue degradation: from AtStep on, a
 	// failed group's steps are marked failed and consume no resources
@@ -242,13 +235,9 @@ func Run(c Config) (Result, error) {
 
 	noPipe := c.NoPipeline || c.L == 1
 
-	// Resource availability (seconds of virtual time). With parallel
-	// I/O every group gets its own input path; otherwise one shared
-	// sequential path serializes all reads.
-	diskFree := make([]float64, 1)
-	if c.ParallelInput {
-		diskFree = make([]float64, c.L)
-	}
+	// Resource availability (seconds of virtual time). One shared
+	// sequential input path serializes all reads.
+	diskFree := 0.0
 	groupFree := make([]float64, c.L)
 	wanFree := 0.0
 	viewerFree := 0.0
@@ -286,13 +275,9 @@ func Run(c Config) (Result, error) {
 		} else if s >= 2*c.L {
 			bufReady = renderDone[s-2*c.L]
 		}
-		disk := 0
-		if c.ParallelInput {
-			disk = g
-		}
-		inputStart := math.Max(diskFree[disk], bufReady)
+		inputStart := math.Max(diskFree, bufReady)
 		inputDone := inputStart + inputT
-		diskFree[disk] = inputDone
+		diskFree = inputDone
 
 		renderStart := math.Max(inputDone, groupFree[g])
 		groupDone := renderStart + groupT

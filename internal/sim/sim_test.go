@@ -267,31 +267,6 @@ func BenchmarkRunPipeline(b *testing.B) {
 	}
 }
 
-// §7.1 parallel-I/O extension: with per-group input paths the
-// input-bound plateau lifts and overall time improves (never worsens).
-func TestParallelInputImproves(t *testing.T) {
-	w := paperWorkload(64)
-	for _, l := range []int{2, 4, 8} {
-		serial, err := Run(Config{Machine: RWCP(), Work: w, P: 32, L: l})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := Run(Config{Machine: RWCP(), Work: w, P: 32, L: l, ParallelInput: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel.Overall > serial.Overall {
-			t.Fatalf("L=%d: parallel input worse: %v > %v", l, parallel.Overall, serial.Overall)
-		}
-	}
-	// At the input-bound optimum the gain must be substantial.
-	serial, _ := Run(Config{Machine: RWCP(), Work: w, P: 32, L: 4})
-	parallel, _ := Run(Config{Machine: RWCP(), Work: w, P: 32, L: 4, ParallelInput: true})
-	if float64(parallel.Overall) > 0.95*float64(serial.Overall) {
-		t.Fatalf("parallel input gain too small: %v vs %v", parallel.Overall, serial.Overall)
-	}
-}
-
 func TestTraceAndGantt(t *testing.T) {
 	res, err := Run(Config{Machine: RWCP(), Work: paperWorkload(8), P: 8, L: 2})
 	if err != nil {

@@ -440,3 +440,60 @@ func TestBrokerSplitsProgressiveSends(t *testing.T) {
 	}
 	v.Close()
 }
+
+// Every ladder rung, sent through broker → wire → viewer assembly,
+// shows exactly the pixels of a direct decode(encode(frame)) at that
+// rung. A full progressive stream, which the broker splits into a
+// preview send and a refinement send, must assemble to the same.
+func TestLadderRungsMatchDirectCodec(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	f := noiseFrame(48, 32)
+	points := append(stream.DefaultLadder(), stream.Point{Codec: "prog"})
+	for _, p := range points {
+		t.Run(p.String(), func(t *testing.T) {
+			codec, err := p.FrameCodec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := codec.EncodeFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := codec.DecodeFrame(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !codec.Lossless() && want.Equal(f) {
+				t.Fatal("lossy rung decodes to its input; the comparison would not see a wrong rung")
+			}
+			// Only the full progressive stream is split into two sends.
+			deliveries := 1
+			if p.Codec == "prog" && p.Passes == 0 {
+				deliveries = 2
+			}
+
+			b := stream.NewBroker(stream.Config{Target: 100 * time.Millisecond, FixedPoint: &p})
+			defer b.Close()
+			v := display.NewViewer(pipeConn(t, b, transport.RoleDisplay, wan.Profile{}))
+			defer v.Close()
+			sendFrames(t, pipeConn(t, b, transport.RoleRenderer, wan.Profile{}), f, 1, 0)
+
+			var last *display.Frame
+			timeout := time.After(5 * time.Second)
+			for i := 0; i < deliveries; i++ {
+				select {
+				case fr := <-v.Frames():
+					last = fr
+				case <-timeout:
+					t.Fatalf("%d of %d deliveries arrived", i, deliveries)
+				}
+			}
+			if last.Codec != p.Family() {
+				t.Fatalf("arrived as %q, want %q", last.Codec, p.Family())
+			}
+			if !last.Image.Equal(want) {
+				t.Fatalf("viewer pixels differ from a direct %s decode", p)
+			}
+		})
+	}
+}

@@ -110,43 +110,21 @@ func (v *Volume) Extract(region Box, ghost int) (*Brick, error) {
 		X0: maxInt(region.X0-ghost, 0), Y0: maxInt(region.Y0-ghost, 0), Z0: maxInt(region.Z0-ghost, 0),
 		X1: minInt(region.X1+ghost, v.Dims.NX), Y1: minInt(region.Y1+ghost, v.Dims.NY), Z1: minInt(region.Z1+ghost, v.Dims.NZ),
 	}
-	return v.view(g, [3]int{g.X0, g.Y0, g.Z0}, region, v.Dims), nil
-}
-
-// Place views all of v as the ghosted extent of a brick that owns
-// region of a parent volume with dims parent, v's (0,0,0) sitting at
-// parent grid point origin — how a node wraps the block it read from
-// storage itself. Like Extract it copies nothing, and the brick
-// normalizes with v's range.
-func (v *Volume) Place(origin [3]int, region Box, parent Dims) (*Brick, error) {
-	placed := Box{
-		X0: origin[0], Y0: origin[1], Z0: origin[2],
-		X1: origin[0] + v.Dims.NX, Y1: origin[1] + v.Dims.NY, Z1: origin[2] + v.Dims.NZ,
-	}
-	if region.Empty() || region.Intersect(placed) != region {
-		return nil, fmt.Errorf("vol: region %v outside placed volume %v", region, placed)
-	}
-	return v.view(v.Bounds(), origin, region, parent), nil
-}
-
-// view returns the brick viewing box g of v (in v's grid coordinates),
-// with g's low corner at parent grid point origin.
-func (v *Volume) view(g Box, origin [3]int, region Box, parent Dims) *Brick {
 	d := g.Dims()
 	return &Brick{
 		Region:     region,
-		Origin:     origin,
+		Origin:     [3]int{g.X0, g.Y0, g.Z0},
 		Dims:       d,
-		ParentDims: parent,
+		ParentDims: v.Dims,
 		ParentMin:  v.Min,
 		ParentMax:  v.Max,
-		org:        [3]float64{float64(origin[0]), float64(origin[1]), float64(origin[2])},
+		org:        [3]float64{float64(g.X0), float64(g.Y0), float64(g.Z0)},
 		last:       [3]float64{float64(d.NX - 1), float64(d.NY - 1), float64(d.NZ - 1)},
 		data:       v.Data,
 		base:       v.Index(g.X0, g.Y0, g.Z0),
 		sy:         v.Dims.NX,
 		sz:         v.Dims.NX * v.Dims.NY,
-	}
+	}, nil
 }
 
 // Row returns the view's x-row at view coordinates (y, z): Dims.NX

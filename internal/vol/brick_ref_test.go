@@ -271,49 +271,3 @@ func TestExtractAllocsIndependentOfSize(t *testing.T) {
 		t.Fatalf("Extract allocs: %v for 4^3, %v for 96^3; want equal and at most 1", a, b)
 	}
 }
-
-// A block read on its own and placed where it sits in the parent
-// samples exactly like the parent's brick of the same region; a region
-// the block does not hold is refused.
-func TestPlaceMatchesExtract(t *testing.T) {
-	v := fuzzVolume()
-	region, ghost := Box{3, 2, 1, 9, 8, 6}, 2
-	want, err := v.Extract(region, ghost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block, err := refExtract(v, region, ghost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := block.Data
-	sub.Min, sub.Max = v.Min, v.Max
-	got, err := sub.Place(want.Origin, region, v.Dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Region != want.Region || got.Origin != want.Origin || got.Dims != want.Dims || got.ParentDims != want.ParentDims ||
-		got.ParentMin != want.ParentMin || got.ParentMax != want.ParentMax {
-		t.Fatalf("placed %+v, extracted %+v", got, want)
-	}
-	for z := -1.0; z <= float64(v.Dims.NZ); z += 0.7 {
-		for y := -1.0; y <= float64(v.Dims.NY); y += 0.55 {
-			for x := -1.0; x <= float64(v.Dims.NX); x += 0.45 {
-				if a, b := got.Sample(x, y, z), want.Sample(x, y, z); !sameBits(a, b) {
-					t.Fatalf("Sample(%v,%v,%v) = %v placed, %v extracted", x, y, z, a, b)
-				}
-				ax, ay, az := got.Gradient(x, y, z)
-				bx, by, bz := want.Gradient(x, y, z)
-				if !sameBits(ax, bx) || !sameBits(ay, by) || !sameBits(az, bz) {
-					t.Fatalf("Gradient(%v,%v,%v) differs", x, y, z)
-				}
-			}
-		}
-	}
-	if _, err := sub.Place(want.Origin, Box{3, 2, 1, 12, 8, 6}, v.Dims); err == nil {
-		t.Fatal("placed a region beyond the block")
-	}
-	if _, err := sub.Place(want.Origin, Box{}, v.Dims); err == nil {
-		t.Fatal("placed an empty region")
-	}
-}

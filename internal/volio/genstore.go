@@ -43,33 +43,6 @@ func (s *GenStore) Fetch(t int) (*vol.Volume, error) {
 	return v, nil
 }
 
-// FetchRegion implements RegionStore: the generator synthesizes the
-// full step and copies the region out (a generator has no storage
-// layout to exploit, but the interface lets pipelines exercise the
-// parallel-I/O path against synthetic data). The copy is what makes
-// the returned volume the caller's own.
-func (s *GenStore) FetchRegion(t int, box vol.Box) (*vol.Volume, error) {
-	v, err := s.Fetch(t)
-	if err != nil {
-		return nil, err
-	}
-	br, err := v.Extract(box, 0)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := vol.New(br.Dims)
-	if err != nil {
-		return nil, err
-	}
-	for z := 0; z < br.Dims.NZ; z++ {
-		for y := 0; y < br.Dims.NY; y++ {
-			copy(sub.Data[sub.Index(0, y, z):], br.Row(y, z))
-		}
-	}
-	sub.Min, sub.Max = v.Min, v.Max
-	return sub, nil
-}
-
 // globalRange samples first/middle/last steps to fix a dataset-wide
 // value range.
 func (s *GenStore) globalRange() error {
@@ -118,19 +91,6 @@ func (s stridedStore) Fetch(t int) (*vol.Volume, error) {
 		return nil, fmt.Errorf("volio: strided step %d out of range [0,%d)", t, s.Steps())
 	}
 	return s.base.Fetch(t * s.k)
-}
-
-// FetchRegion delegates to the base store when it supports region
-// reads, preserving the parallel-I/O capability across striding.
-func (s stridedStore) FetchRegion(t int, box vol.Box) (*vol.Volume, error) {
-	if t < 0 || t >= s.Steps() {
-		return nil, fmt.Errorf("volio: strided step %d out of range [0,%d)", t, s.Steps())
-	}
-	rs, ok := s.base.(RegionStore)
-	if !ok {
-		return nil, fmt.Errorf("volio: base store %T has no region reads", s.base)
-	}
-	return rs.FetchRegion(t*s.k, box)
 }
 
 // WriteDataset generates every step of g into a dataset file at path.

@@ -199,43 +199,6 @@ func (r *Reader) ReadStepInto(t int, v *vol.Volume) error {
 	return nil
 }
 
-// ReadRegion reads only the grid points of box from step t — the
-// distribution pattern where each node pulls its own subvolume. It
-// issues one positional read per (y,z) row, the scattered access that
-// makes non-parallel I/O expensive for 3D distributions.
-func (r *Reader) ReadRegion(t int, box vol.Box) (*vol.Volume, error) {
-	if t < 0 || t >= r.hdr.Steps {
-		return nil, fmt.Errorf("volio: step %d out of range [0,%d)", t, r.hdr.Steps)
-	}
-	full := vol.Box{X1: r.hdr.Dims.NX, Y1: r.hdr.Dims.NY, Z1: r.hdr.Dims.NZ}
-	box = box.Intersect(full)
-	if box.Empty() {
-		return nil, errors.New("volio: empty region")
-	}
-	sub, err := vol.New(box.Dims())
-	if err != nil {
-		return nil, err
-	}
-	base := int64(headerSize) + int64(t)*r.hdr.StepBytes()
-	rowBytes := int64(box.X1-box.X0) * 4
-	buf := make([]byte, rowBytes)
-	di := 0
-	for z := box.Z0; z < box.Z1; z++ {
-		for y := box.Y0; y < box.Y1; y++ {
-			off := base + 4*int64(box.X0+r.hdr.Dims.NX*(y+r.hdr.Dims.NY*z))
-			if _, err := r.f.ReadAt(buf, off); err != nil {
-				return nil, fmt.Errorf("volio: region read: %w", err)
-			}
-			for i := 0; int64(i) < rowBytes/4; i++ {
-				sub.Data[di] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-				di++
-			}
-		}
-	}
-	sub.Min, sub.Max = r.hdr.Min, r.hdr.Max
-	return sub, nil
-}
-
 // Close closes the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
@@ -251,18 +214,6 @@ type Store interface {
 	Fetch(t int) (*vol.Volume, error)
 }
 
-// RegionStore is a Store that can read a subvolume of a time step
-// directly from storage — the access pattern parallel I/O enables
-// (§7.1): every node pulls its own brick concurrently instead of one
-// node reading the whole step and scattering it.
-type RegionStore interface {
-	Store
-	// FetchRegion returns the grid points of box from step t, with
-	// Min/Max set to the global range. Like Fetch's, the volume
-	// belongs to the caller.
-	FetchRegion(t int, box vol.Box) (*vol.Volume, error)
-}
-
 // FileStore adapts a Reader to the Store interface.
 type FileStore struct{ R *Reader }
 
@@ -274,8 +225,3 @@ func (s FileStore) Steps() int { return s.R.Header().Steps }
 
 // Fetch implements Store.
 func (s FileStore) Fetch(t int) (*vol.Volume, error) { return s.R.ReadStep(t) }
-
-// FetchRegion implements RegionStore via positional row reads.
-func (s FileStore) FetchRegion(t int, box vol.Box) (*vol.Volume, error) {
-	return s.R.ReadRegion(t, box)
-}

@@ -125,53 +125,6 @@ func TestReadStepErrors(t *testing.T) {
 	}
 }
 
-func TestReadRegionMatchesFull(t *testing.T) {
-	path, _ := writeTestDataset(t, 2)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	full, err := r.ReadStep(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := r.Header().Dims
-	box := vol.Box{X0: 1, Y0: 2, Z0: 3, X1: d.NX - 1, Y1: d.NY - 2, Z1: d.NZ - 3}
-	sub, err := r.ReadRegion(1, box)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Dims != box.Dims() {
-		t.Fatalf("region dims %v != %v", sub.Dims, box.Dims())
-	}
-	for z := box.Z0; z < box.Z1; z++ {
-		for y := box.Y0; y < box.Y1; y++ {
-			for x := box.X0; x < box.X1; x++ {
-				if got, want := sub.At(x-box.X0, y-box.Y0, z-box.Z0), full.At(x, y, z); got != want {
-					t.Fatalf("region mismatch at (%d,%d,%d)", x, y, z)
-				}
-			}
-		}
-	}
-}
-
-func TestReadRegionErrors(t *testing.T) {
-	path, _ := writeTestDataset(t, 2)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.ReadRegion(5, vol.Box{X1: 1, Y1: 1, Z1: 1}); err == nil {
-		t.Fatal("want step range error")
-	}
-	d := r.Header().Dims
-	if _, err := r.ReadRegion(0, vol.Box{X0: d.NX, X1: d.NX + 2, Y1: 1, Z1: 1}); err == nil {
-		t.Fatal("want empty region error")
-	}
-}
-
 func TestOpenRejectsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "bad")
@@ -327,42 +280,3 @@ func TestStridedStore(t *testing.T) {
 		t.Fatal("stride 1 must be identity")
 	}
 }
-
-func TestStridedRegionReads(t *testing.T) {
-	path, _ := writeTestDataset(t, 6)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var base Store = FileStore{R: r}
-	s := Strided(base, 2).(RegionStore)
-	d := r.Header().Dims
-	box := vol.Box{X1: d.NX / 2, Y1: d.NY / 2, Z1: d.NZ / 2}
-	got, err := s.FetchRegion(1, box) // = base step 2
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := r.ReadRegion(2, box)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("strided region read mismatch")
-	}
-	if _, err := s.FetchRegion(9, box); err == nil {
-		t.Fatal("out-of-range strided region accepted")
-	}
-	// Base without region support errors cleanly.
-	s2 := Strided(opaqueStore{base}, 2).(RegionStore)
-	if _, err := s2.FetchRegion(0, box); err == nil {
-		t.Fatal("regionless base accepted")
-	}
-}
-
-// opaqueStore hides region reads.
-type opaqueStore struct{ s Store }
-
-func (o opaqueStore) Dims() vol.Dims                   { return o.s.Dims() }
-func (o opaqueStore) Steps() int                       { return o.s.Steps() }
-func (o opaqueStore) Fetch(t int) (*vol.Volume, error) { return o.s.Fetch(t) }
