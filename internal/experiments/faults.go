@@ -206,14 +206,15 @@ func (c *Context) faultsCorruption(res *FaultsResult) error {
 	if err != nil {
 		return err
 	}
-	// Wire layout on the renderer link: the v1-framed hello (5-byte
-	// header + 2-byte payload), then v2 frames of 6-byte header +
+	// Wire layout on the renderer link: the hello (6-byte header +
+	// 2-byte payload + 4-byte CRC), then frames of 6-byte header +
 	// payload + 4-byte CRC. Flip one byte in the middle of the
 	// payloads of frames 3, 6 and 9.
+	const helloLen = 6 + 2 + 4
 	msgLen := int64(6 + len(payload) + 4)
 	var offsets []int64
 	for _, k := range []int64{3, 6, 9} {
-		offsets = append(offsets, 7+k*msgLen+6+int64(len(payload))/2)
+		offsets = append(offsets, helloLen+k*msgLen+6+int64(len(payload))/2)
 	}
 	inj := fault.New(fault.Plan{CorruptOffsets: offsets})
 

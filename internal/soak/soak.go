@@ -192,13 +192,36 @@ func Run(cfg Config) (res *Result, err error) {
 		Logf:         cfg.Logf,
 	})
 
+	// Sheds by identity: a broker names the remote address of every
+	// display it sheds, and a base viewer's local address is that
+	// remote, so shedNano[i] records when the governor shed base viewer
+	// i (0 = never). Base viewers register their address in baseAddr
+	// as they dial.
+	var addrMu sync.Mutex
+	baseAddr := make([]string, cfg.BaseViewers)
+	shedNano := make([]atomic.Int64, cfg.BaseViewers)
+	brokerLogf := func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		if !strings.Contains(line, "shedding newest display") {
+			return
+		}
+		cfg.Logf("%s", line)
+		addrMu.Lock()
+		defer addrMu.Unlock()
+		for i, a := range baseAddr {
+			if a != "" && strings.Contains(line, "("+a+")") {
+				shedNano[i].CompareAndSwap(0, time.Now().UnixNano())
+			}
+		}
+	}
+
 	// One edge's upstream link carries every scripted fault: a mild
 	// recurring read stall for the whole run (the WAN-flavored
 	// impairment), a write partition window, and finally a hard kill.
 	inj := fault.New(fault.Plan{ReadStallEveryBytes: 64 << 10, ReadStall: 2 * time.Millisecond})
 	tree, err := relay.BuildTree(relay.TreeSpec{
 		Tiers: 2, FanOut: 2,
-		Stream: stream.Config{Target: cfg.FrameInterval, QueueDepth: 3, CacheFrames: 4},
+		Stream: stream.Config{Target: cfg.FrameInterval, QueueDepth: 3, CacheFrames: 4, Logf: brokerLogf},
 		Retry: transport.RetryPolicy{
 			Base: 20 * time.Millisecond, Max: 200 * time.Millisecond,
 			Factor: 2, MaxAttempts: 8,
@@ -249,9 +272,7 @@ func Run(cfg Config) (res *Result, err error) {
 	var baseAges, loadAges []time.Duration
 	recovered := make([]atomic.Int64, cfg.BaseViewers)
 	// closedNano[i] records when base viewer i's frame channel closed
-	// (0 = still open). A base viewer shed by the governor at extreme
-	// pressure is designed ladder behavior, so recovery is judged only
-	// over viewers still attached when the kill lands.
+	// (0 = still open).
 	closedNano := make([]atomic.Int64, cfg.BaseViewers)
 
 	// Base viewers: well-behaved clients attached before the flood,
@@ -266,7 +287,12 @@ func Run(cfg Config) (res *Result, err error) {
 	}
 	defer func() { closeViewers(baseViewers) }()
 	for i := 0; i < cfg.BaseViewers; i++ {
-		ep, err := transport.Dial(edges[i%len(edges)], transport.RoleDisplay, nil)
+		ep, err := transport.Dial(edges[i%len(edges)], transport.RoleDisplay, func(c net.Conn) net.Conn {
+			addrMu.Lock()
+			baseAddr[i] = c.LocalAddr().String()
+			addrMu.Unlock()
+			return c
+		})
 		if err != nil {
 			return nil, fmt.Errorf("soak: base viewer %d: %w", i, err)
 		}
@@ -418,12 +444,11 @@ func Run(cfg Config) (res *Result, err error) {
 	kills := inj.KillAll()
 	cfg.Logf("soak: killed %d upstream link(s)", kills)
 	recoveryDeadline := killAt.Add(cfg.RecoverySLO + time.Second)
-	// Viewers whose channel was already closed at kill time (shed
-	// under extreme pressure) are out of the recovery population.
-	surviving := func(i int) bool {
-		c := closedNano[i].Load()
-		return c == 0 || c > killAt.UnixNano()
-	}
+	// A base viewer the governor shed, before or after the kill, is
+	// designed ladder behavior, not a recovery failure, so it is out of
+	// the recovery population; a viewer closed for any other reason
+	// stays in.
+	surviving := func(i int) bool { return shedNano[i].Load() == 0 }
 	allRecovered := func() (int, bool) {
 		n, all := 0, true
 		for i := range recovered {
@@ -445,6 +470,16 @@ func Run(cfg Config) (res *Result, err error) {
 	}
 	var recovery time.Duration
 	survivors, recoveredAll := allRecovered()
+	sinceKill := func(ns int64) string {
+		if ns == 0 {
+			return "never"
+		}
+		return time.Unix(0, ns).Sub(killAt).Round(time.Millisecond).String()
+	}
+	for i := range recovered {
+		cfg.Logf("soak: base viewer %d (edge %d): shed %s, closed %s, recovered %s after the kill",
+			i, i%len(edges), sinceKill(shedNano[i].Load()), sinceKill(closedNano[i].Load()), sinceKill(recovered[i].Load()))
+	}
 	for i := range recovered {
 		if ts := recovered[i].Load(); ts != 0 {
 			if d := time.Unix(0, ts).Sub(killAt); d > recovery {

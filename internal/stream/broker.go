@@ -69,6 +69,10 @@ type Broker struct {
 	closed     bool
 	advertised []string
 
+	// conns tracks every connection from ServeConn until its handler
+	// exits, so Close can unblock handlers still waiting for a hello.
+	conns map[net.Conn]struct{}
+
 	// ctrlForward, when set, receives every user-control message in
 	// addition to the connected renderers — the relay node's hook for
 	// passing controls up the tree toward the render site.
@@ -97,7 +101,6 @@ type Broker struct {
 type rendererPeer struct {
 	id   int
 	conn net.Conn
-	fr   transport.Framer
 	wmu  sync.Mutex
 }
 
@@ -107,7 +110,6 @@ type client struct {
 	kind   byte // transport.KindViewer or KindRelay
 	remote string
 	conn   net.Conn
-	fr     transport.Framer
 	est    *Estimator
 	ctrl   *Controller
 	pacer  *Pacer
@@ -160,6 +162,7 @@ func NewBroker(cfg Config) *Broker {
 		log:       obs.NewLogger("broker"),
 		clients:   map[int]*client{},
 		renderers: map[int]*rendererPeer{},
+		conns:     map[net.Conn]struct{}{},
 		traces:    map[uint32]*transport.TraceCtx{},
 	}
 	if cfg.Logf != nil {
@@ -349,16 +352,23 @@ func (b *Broker) ServeConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	b.conns[conn] = struct{}{}
 	b.wg.Add(1)
 	b.mu.Unlock()
 	go func() {
 		defer b.wg.Done()
+		defer func() {
+			b.mu.Lock()
+			delete(b.conns, conn)
+			b.mu.Unlock()
+		}()
 		b.handle(conn)
 	}()
 }
 
-// Close stops accepting, tears every session down, and waits for all
-// broker goroutines to exit.
+// Close stops accepting, tears every session down (including
+// connections still mid-handshake), and waits for all broker
+// goroutines to exit.
 func (b *Broker) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -367,13 +377,12 @@ func (b *Broker) Close() error {
 	}
 	b.closed = true
 	ln := b.ln
-	conns := make([]net.Conn, 0, len(b.clients)+len(b.renderers))
 	for _, c := range b.clients {
 		c.pacer.Close()
-		conns = append(conns, c.conn)
 	}
-	for _, r := range b.renderers {
-		conns = append(conns, r.conn)
+	conns := make([]net.Conn, 0, len(b.conns))
+	for c := range b.conns {
+		conns = append(conns, c)
 	}
 	b.mu.Unlock()
 	var err error
@@ -392,33 +401,20 @@ func (b *Broker) Close() error {
 
 func (b *Broker) handle(conn net.Conn) {
 	defer conn.Close()
-	hello, err := transport.ReadMessage(conn)
-	if err != nil || hello.Type != transport.MsgHello || len(hello.Payload) < 1 {
-		b.log.Warnf("bad handshake from %v: %v", conn.RemoteAddr(), err)
-		return
-	}
-	role, peerVer, kind, err := transport.ParseHelloKind(hello.Payload)
+	role, kind, err := transport.ReadHello(conn)
 	if err != nil {
-		b.log.Warnf("bad hello from %v: %v", conn.RemoteAddr(), err)
+		b.log.Warnf("refused %v: %v", conn.RemoteAddr(), err)
 		return
 	}
-	// Hellos and welcomes travel in legacy framing; the negotiated
-	// version applies from the first message after them, exactly like
-	// the plain daemon's handshake. Legacy single-byte hellos negotiate
-	// v1, so pre-negotiation peers connect unchanged.
-	fr := transport.Framer{Version: transport.NegotiateVersion(transport.ProtoV3, peerVer)}
-	switch role {
-	case transport.RoleRenderer:
-		b.handleRenderer(conn, fr)
-	case transport.RoleDisplay:
-		b.handleDisplay(conn, fr, kind)
-	default:
-		b.log.Warnf("unknown role %d", role)
+	if role == transport.RoleRenderer {
+		b.handleRenderer(conn)
+	} else {
+		b.handleDisplay(conn, kind)
 	}
 }
 
-func (b *Broker) handleRenderer(conn net.Conn, fr transport.Framer) {
-	r := &rendererPeer{conn: conn, fr: fr}
+func (b *Broker) handleRenderer(conn net.Conn) {
+	r := &rendererPeer{conn: conn}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -438,13 +434,13 @@ func (b *Broker) handleRenderer(conn net.Conn, fr transport.Framer) {
 		b.mu.Unlock()
 		b.log.Infof("renderer %d disconnected", r.id)
 	}()
-	if err := transport.WriteMessage(conn, transport.Message{Type: transport.MsgHello, Payload: transport.HelloPayload(transport.RoleRenderer, fr.Version)}); err != nil {
+	if err := transport.WriteWelcome(conn, transport.RoleRenderer); err != nil {
 		return
 	}
-	b.log.Infof("renderer %d connected from %v (proto v%d)", r.id, conn.RemoteAddr(), fr.Version+1)
+	b.log.Infof("renderer %d connected from %v", r.id, conn.RemoteAddr())
 	remote := fmt.Sprint(conn.RemoteAddr())
 	for {
-		m, err := r.fr.ReadMessage(conn)
+		m, err := transport.ReadMessage(conn)
 		if err != nil {
 			if errors.Is(err, transport.ErrChecksum) {
 				// Stream stays frame-aligned past a CRC failure: drop the
@@ -469,7 +465,7 @@ func (b *Broker) handleRenderer(conn net.Conn, fr transport.Framer) {
 		case transport.MsgPing:
 			// Liveness probe from a reconnect-capable server.
 			r.wmu.Lock()
-			_ = r.fr.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
+			_ = transport.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
 			r.wmu.Unlock()
 		case transport.MsgBye:
 			return
@@ -601,11 +597,10 @@ func (b *Broker) ingest(payload []byte, tc *transport.TraceCtx) (uint32, bool) {
 	return fr.ID, true
 }
 
-func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
+func (b *Broker) handleDisplay(conn net.Conn, kind byte) {
 	c := &client{
 		kind:  kind,
 		conn:  conn,
-		fr:    fr,
 		est:   NewEstimator(b.cfg.Alpha),
 		pacer: NewPacer(b.cfg.QueueDepth),
 		sent:  map[uint32]time.Time{},
@@ -626,9 +621,7 @@ func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
 		b.mu.Unlock()
 		b.stats.BusyRejected.Add(1)
 		b.log.Warnf("display from %v refused by admission control (retry after %v)", conn.RemoteAddr(), retry)
-		// Busy refusals travel in legacy framing like the welcome they
-		// replace, so any client version can decode them.
-		_ = transport.WriteMessage(conn, transport.Message{Type: transport.MsgBusy, Payload: transport.MarshalBusy(retry, "over budget")})
+		_ = transport.WriteBusy(conn, retry, "over budget")
 		return
 	}
 	b.nextID++
@@ -646,10 +639,10 @@ func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
 		c.pacer.Close()
 		b.log.Infof("display %d disconnected", c.id)
 	}()
-	if err := transport.WriteMessage(conn, transport.Message{Type: transport.MsgHello, Payload: transport.HelloPayload(transport.RoleDisplay, fr.Version)}); err != nil {
+	if err := transport.WriteWelcome(conn, transport.RoleDisplay); err != nil {
 		return
 	}
-	b.log.Infof("display %d connected from %v (proto v%d)", c.id, c.remote, fr.Version+1)
+	b.log.Infof("display %d connected from %v", c.id, c.remote)
 
 	b.wg.Add(1)
 	go func() {
@@ -658,7 +651,7 @@ func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
 	}()
 
 	for {
-		m, err := c.fr.ReadMessage(conn)
+		m, err := transport.ReadMessage(conn)
 		if err != nil {
 			if errors.Is(err, transport.ErrChecksum) {
 				b.stats.CorruptDropped.Add(1)
@@ -677,7 +670,7 @@ func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
 		case transport.MsgPing:
 			// Liveness probe from a reconnect-capable viewer.
 			c.wmu.Lock()
-			_ = c.fr.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
+			_ = transport.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
 			c.wmu.Unlock()
 		case transport.MsgBye:
 			return
@@ -715,7 +708,7 @@ func (b *Broker) routeToRenderers(m transport.Message) {
 	b.mu.Unlock()
 	for _, r := range rends {
 		r.wmu.Lock()
-		err := r.fr.WriteMessage(r.conn, m)
+		err := transport.WriteMessage(r.conn, m)
 		r.wmu.Unlock()
 		if err == nil {
 			b.stats.ControlsRouted.Add(1)
@@ -861,8 +854,7 @@ func (b *Broker) sender(c *client) {
 			c.marshalBuf = payload
 			out := transport.Message{Type: transport.MsgImage, Payload: payload}
 			if tc != nil {
-				// Forward the trace at the next hop ordinal; the v1/v2
-				// framer strips it for pre-trace clients.
+				// Forward the trace at the next hop ordinal.
 				fwd := *tc
 				fwd.Hop++
 				out.Trace = &fwd
@@ -870,7 +862,7 @@ func (b *Broker) sender(c *client) {
 			t0 := time.Now()
 			endSend := tr.Begin(track, "stream", "send", "frame", sf.ID, "bytes", len(payload))
 			c.wmu.Lock()
-			err = c.fr.WriteMessage(c.conn, out)
+			err = transport.WriteMessage(c.conn, out)
 			c.wmu.Unlock()
 			endSend()
 			if err != nil {

@@ -31,12 +31,10 @@ type Link interface {
 // renderer interface (role renderer) or the display interface (role
 // display). It serializes writes and delivers inbound messages on a
 // channel. Liveness probes (MsgPing) from the peer are answered
-// automatically; corrupt CRC-checked frames are counted and dropped
+// automatically; frames that fail their CRC are counted and dropped
 // without surfacing on the inbox.
 type Endpoint struct {
 	conn net.Conn
-	role Role
-	fr   Framer
 
 	wmu sync.Mutex
 
@@ -91,11 +89,9 @@ func Dial(addr string, role Role, wrap func(net.Conn) net.Conn) (*Endpoint, erro
 }
 
 // NewEndpoint performs the handshake on an existing connection: it
-// announces the role plus the protocol versions it speaks and waits
-// for the daemon's welcome, so a successfully returned endpoint is
-// fully registered and knows the negotiated wire version. Hellos and
-// welcomes always travel in legacy framing; the negotiated version
-// applies from the first message after them.
+// announces the role and wire version and waits for the daemon's
+// welcome, so a successfully returned endpoint is fully registered. A
+// welcome naming another wire version is an error.
 func NewEndpoint(conn net.Conn, role Role) (*Endpoint, error) {
 	return NewEndpointKind(conn, role, KindViewer)
 }
@@ -106,8 +102,8 @@ func NewEndpoint(conn net.Conn, role Role) (*Endpoint, error) {
 // MsgBusy; the returned error then matches ErrBusy and carries the
 // retry-after hint as a *BusyError.
 func NewEndpointKind(conn net.Conn, role Role, kind byte) (*Endpoint, error) {
-	e := &Endpoint{conn: conn, role: role, inbox: make(chan Message, 64), done: make(chan struct{})}
-	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: HelloPayloadKind(role, ProtoV3, kind)}); err != nil {
+	e := &Endpoint{conn: conn, inbox: make(chan Message, 64), done: make(chan struct{})}
+	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: HelloPayload(role, kind)}); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -128,16 +124,14 @@ func NewEndpointKind(conn net.Conn, role Role, kind byte) (*Endpoint, error) {
 		conn.Close()
 		return nil, fmt.Errorf("transport: unexpected handshake reply type %d", welcome.Type)
 	}
-	if _, v, err := ParseHello(welcome.Payload); err == nil {
-		e.fr = Framer{Version: NegotiateVersion(ProtoV3, v)}
+	if _, _, err := ParseHello(welcome.Payload); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("transport: handshake: %w", err)
 	}
 	e.lastRecv.Store(time.Now().UnixNano())
 	go e.readLoop()
 	return e, nil
 }
-
-// ProtoVersion returns the negotiated wire version.
-func (e *Endpoint) ProtoVersion() byte { return e.fr.Version }
 
 // CorruptDropped reports CRC-failed frames dropped by the read loop.
 func (e *Endpoint) CorruptDropped() int64 { return e.corrupt.Load() }
@@ -153,7 +147,7 @@ func (e *Endpoint) Ping() error {
 
 func (e *Endpoint) readLoop() {
 	for {
-		m, err := e.fr.ReadMessage(e.conn)
+		m, err := ReadMessage(e.conn)
 		if err != nil {
 			// A checksum failure leaves the stream aligned on the next
 			// frame: drop the corrupt message and keep reading rather
@@ -208,7 +202,7 @@ func (e *Endpoint) Err() error {
 func (e *Endpoint) Send(m Message) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	return e.fr.WriteMessage(e.conn, m)
+	return WriteMessage(e.conn, m)
 }
 
 // SendImage marshals and sends an image piece.

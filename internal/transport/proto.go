@@ -3,6 +3,13 @@
 // that relays images from render nodes to display clients and control
 // messages ("remote callbacks") back, and the renderer/display
 // interface endpoints.
+//
+// Every byte of every connection, the opening hello included, is one
+// framing (ProtoV3): a 4-byte big-endian payload length, a type byte, a
+// flags byte, an optional 21-byte trace-context block, the payload, and
+// a CRC32 (IEEE) trailer over everything after the length. There is no
+// version negotiation: a hello or welcome naming another version is
+// refused.
 package transport
 
 import (
@@ -40,7 +47,8 @@ type MsgType byte
 
 // Wire message types.
 const (
-	// MsgHello opens a connection: payload is [role byte].
+	// MsgHello opens a connection and, echoed by the daemon, accepts
+	// it: payload is [role, version] plus an optional client-kind byte.
 	MsgHello MsgType = 1
 	// MsgImage carries one (piece of a) rendered frame.
 	MsgImage MsgType = 2
@@ -67,14 +75,13 @@ const (
 	// budget and the client should retry after the hinted delay
 	// instead of being accepted and starving the admitted sessions.
 	// Payload: 4-byte retry-after in milliseconds plus a reason
-	// string. Sent in place of the welcome hello, in legacy framing.
+	// string. Sent in place of the welcome hello.
 	MsgBusy MsgType = 9
 )
 
 // Client kinds, carried in an optional third hello byte so admission
 // control can prioritize relays (which serve whole subtrees) over
-// individual viewers. Absent byte = KindViewer, so legacy hellos are
-// plain viewers.
+// individual viewers. An absent byte means KindViewer.
 const (
 	// KindViewer is an individual display client.
 	KindViewer byte = 0
@@ -82,29 +89,17 @@ const (
 	KindRelay byte = 1
 )
 
-// Wire protocol versions, negotiated at handshake. A hello (and the
-// daemon's welcome reply) may carry a second payload byte naming the
-// highest version the sender speaks; both sides then use the minimum.
-// Legacy single-byte hellos negotiate ProtoV1, so old and new
-// binaries interoperate in either direction.
-const (
-	// ProtoV1 is the legacy framing: 5-byte header (length, type), no
-	// integrity check.
-	ProtoV1 byte = 0
-	// ProtoV2 adds a flags byte to the header and a CRC32 (IEEE)
-	// trailer over type+flags+payload, so corrupted frames are
-	// detected and dropped instead of displayed.
-	ProtoV2 byte = 1
-	// ProtoV3 adds an optional trace-context block (flagTrace) between
-	// header and payload: trace ID, frame ID, hop ordinal and origin
-	// timestamp, so every process a frame crosses can log provenance
-	// events against a shared identity. V2 peers never see the block —
-	// a v3 framer only emits it on v3-negotiated links, so tracing and
-	// non-tracing peers interoperate.
-	ProtoV3 byte = 2
-)
+// ProtoV3 is the wire version byte every hello and welcome carries.
+// The flags byte of a v3 frame always sets flagCRC, so a corrupted
+// frame is detected and dropped instead of displayed, and sets
+// flagTrace when a trace-context block (trace ID, frame ID, hop
+// ordinal, origin timestamp) sits between header and payload, so every
+// process a frame crosses can log provenance events against a shared
+// identity. The value 2 is historical: earlier framings used 0 and 1.
+const ProtoV3 byte = 2
 
-// v2+ header flag bits.
+// Header flag bits. A frame whose flags are anything but flagCRC or
+// flagCRC|flagTrace fails verification.
 const (
 	flagCRC   byte = 1 << 0
 	flagTrace byte = 1 << 1
@@ -166,65 +161,32 @@ const maxMessage = 64 << 20
 // read errors with errors.Is.
 var ErrTooLarge = errors.New("transport: message exceeds size limit")
 
-// ErrChecksum reports a v2 frame whose CRC32 trailer does not match
-// its contents. The stream position is past the frame when it is
-// returned, so callers may drop the message and keep reading.
+// ErrChecksum reports a frame whose CRC32 trailer does not match its
+// contents or whose flags are not a valid combination. The stream
+// position is past the frame when it is returned, so callers may drop
+// the message and keep reading.
 var ErrChecksum = errors.New("transport: message checksum mismatch")
 
 // Message is one framed unit.
 type Message struct {
 	Type    MsgType
 	Payload []byte
-	// Trace is the optional provenance context. It is carried on the
-	// wire only at ProtoV3; lower-version framers silently strip it, so
-	// tracing peers interoperate with v2/v1 peers (frames flow, the
-	// trace just ends at the downgrade boundary).
+	// Trace is the optional provenance context (nil when untraced).
 	Trace *TraceCtx
 }
 
-// WriteMessage frames and writes a message in legacy (v1) framing.
+// WriteMessage frames and writes one message, with a trace-context
+// block when m.Trace is set.
 func WriteMessage(w io.Writer, m Message) error {
-	return Framer{}.WriteMessage(w, m)
-}
-
-// ReadMessage reads one legacy (v1) framed message.
-func ReadMessage(r io.Reader) (Message, error) {
-	return Framer{}.ReadMessage(r)
-}
-
-// Framer frames messages at a negotiated protocol version. The zero
-// value speaks ProtoV1 (the legacy 5-byte header); a ProtoV2 framer
-// adds a flags byte and a CRC32 integrity trailer; a ProtoV3 framer
-// may additionally carry a trace-context block. A Framer is set once
-// at handshake and is safe for concurrent use afterwards.
-type Framer struct {
-	// Version is the negotiated wire version (ProtoV1..ProtoV3).
-	Version byte
-}
-
-// WriteMessage frames and writes one message. A Trace on the message
-// is written only at ProtoV3 — lower versions strip it, keeping the
-// stream legible to pre-trace peers.
-func (f Framer) WriteMessage(w io.Writer, m Message) error {
 	if len(m.Payload) > maxMessage {
 		return fmt.Errorf("transport: message of %d bytes: %w", len(m.Payload), ErrTooLarge)
-	}
-	if f.Version < ProtoV2 {
-		var hdr [5]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(m.Payload)))
-		hdr[4] = byte(m.Type)
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := w.Write(m.Payload)
-		return err
 	}
 	var hdr [6]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(m.Payload)))
 	hdr[4] = byte(m.Type)
 	hdr[5] = flagCRC
 	var trace []byte
-	if f.Version >= ProtoV3 && m.Trace != nil {
+	if m.Trace != nil {
 		hdr[5] |= flagTrace
 		var buf [traceCtxSize]byte
 		trace = m.Trace.appendTo(buf[:0])
@@ -250,28 +212,13 @@ func (f Framer) WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads one framed message. At ProtoV2 it verifies the
-// CRC32 trailer and returns ErrChecksum (with the stream advanced
-// past the frame) on mismatch, so callers can drop the corrupt frame
-// and continue; ErrTooLarge reports a length prefix over the limit,
-// which on a CRC-checked stream usually means a corrupted header and
-// is unrecoverable without a reconnect.
-func (f Framer) ReadMessage(r io.Reader) (Message, error) {
-	if f.Version < ProtoV2 {
-		var hdr [5]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return Message{}, err
-		}
-		n := binary.BigEndian.Uint32(hdr[:4])
-		if n > maxMessage {
-			return Message{}, fmt.Errorf("transport: message length %d: %w", n, ErrTooLarge)
-		}
-		payload, err := readBody(r, int(n))
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{Type: MsgType(hdr[4]), Payload: payload}, nil
-	}
+// ReadMessage reads one framed message and verifies it. A frame whose
+// CRC32 trailer does not match, or whose flags are invalid, returns
+// ErrChecksum with the stream advanced past the frame, so callers can
+// drop it and continue; ErrTooLarge reports a length prefix over the
+// limit, which usually means a corrupted header and is unrecoverable
+// without a reconnect.
+func ReadMessage(r io.Reader) (Message, error) {
 	var hdr [6]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Message{}, err
@@ -288,15 +235,16 @@ func (f Framer) ReadMessage(r io.Reader) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
+	if flags := hdr[5]; flags != flagCRC && flags != flagCRC|flagTrace {
+		return Message{}, fmt.Errorf("transport: flags %02x: %w", flags, ErrChecksum)
+	}
 	trace, payload, trailer := body[:extra], body[extra:extra+n], body[extra+n:]
-	if hdr[5]&flagCRC != 0 {
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[4:6])
-		crc.Write(trace)
-		crc.Write(payload)
-		if got, want := crc.Sum32(), binary.BigEndian.Uint32(trailer); got != want {
-			return Message{}, fmt.Errorf("transport: crc %08x != %08x: %w", got, want, ErrChecksum)
-		}
+	crc := crc32.NewIEEE()
+	crc.Write(hdr[4:6])
+	crc.Write(trace)
+	crc.Write(payload)
+	if got, want := crc.Sum32(), binary.BigEndian.Uint32(trailer); got != want {
+		return Message{}, fmt.Errorf("transport: crc %08x != %08x: %w", got, want, ErrChecksum)
 	}
 	m := Message{Type: MsgType(hdr[4]), Payload: payload}
 	if len(trace) > 0 {
@@ -308,6 +256,21 @@ func (f Framer) ReadMessage(r io.Reader) (Message, error) {
 	}
 	return m, nil
 }
+
+// Framer is the package-level framing as a value; its methods are
+// WriteMessage and ReadMessage.
+type Framer struct {
+	// Version is unread: every connection speaks ProtoV3. It stays
+	// only because the benchmark harness sets it; ROADMAP 0(a)'s
+	// benchmark-only change is the place to drop it.
+	Version byte
+}
+
+// WriteMessage is the package-level WriteMessage.
+func (Framer) WriteMessage(w io.Writer, m Message) error { return WriteMessage(w, m) }
+
+// ReadMessage is the package-level ReadMessage.
+func (Framer) ReadMessage(r io.Reader) (Message, error) { return ReadMessage(r) }
 
 // readChunk is the most ReadMessage allocates ahead of the bytes that
 // have arrived. A length prefix is the peer's claim, and any peer that
@@ -341,59 +304,61 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	return bytes.Join(pieces, nil), nil
 }
 
-// HelloPayload builds a hello (or welcome) payload advertising a role
-// and the highest protocol version the sender speaks.
-func HelloPayload(role Role, version byte) []byte {
-	return []byte{byte(role), version}
-}
-
-// HelloPayloadKind builds a hello payload that additionally announces
-// the client kind (KindViewer, KindRelay). KindViewer omits the byte,
-// matching what pre-kind peers send.
-func HelloPayloadKind(role Role, version, kind byte) []byte {
+// HelloPayload builds a hello (or welcome) payload: the role, ProtoV3,
+// and the client kind unless it is KindViewer.
+func HelloPayload(role Role, kind byte) []byte {
 	if kind == KindViewer {
-		return HelloPayload(role, version)
+		return []byte{byte(role), ProtoV3}
 	}
-	return []byte{byte(role), version, kind}
+	return []byte{byte(role), ProtoV3, kind}
 }
 
-// ParseHello extracts the role and advertised protocol version from a
-// hello payload. Legacy single-byte payloads advertise ProtoV1.
+// ParseHello validates a hello (or welcome) payload and returns its
+// role and client kind. A version other than ProtoV3 or a role other
+// than renderer or display is an error.
 func ParseHello(p []byte) (Role, byte, error) {
-	if len(p) < 1 {
-		return 0, 0, fmt.Errorf("transport: empty hello: %w", ErrTruncated)
+	if len(p) < 2 {
+		return 0, 0, fmt.Errorf("transport: hello of %d bytes: %w", len(p), ErrTruncated)
 	}
-	v := ProtoV1
-	if len(p) >= 2 {
-		v = p[1]
+	role, version := Role(p[0]), p[1]
+	if version != ProtoV3 {
+		return 0, 0, fmt.Errorf("transport: peer speaks wire version %d, this side only %d", version, ProtoV3)
 	}
-	return Role(p[0]), v, nil
-}
-
-// ParseHelloKind additionally extracts the client kind; hellos without
-// the third byte are KindViewer.
-func ParseHelloKind(p []byte) (Role, byte, byte, error) {
-	role, v, err := ParseHello(p)
-	if err != nil {
-		return 0, 0, 0, err
+	if role != RoleRenderer && role != RoleDisplay {
+		return 0, 0, fmt.Errorf("transport: unknown %v in hello", role)
 	}
 	kind := KindViewer
 	if len(p) >= 3 {
 		kind = p[2]
 	}
-	return role, v, kind, nil
+	return role, kind, nil
 }
 
-// MarshalBusy builds a MsgBusy payload from a retry-after hint and a
-// short reason.
-func MarshalBusy(retryAfter time.Duration, reason string) []byte {
-	ms := retryAfter.Milliseconds()
-	if ms < 0 {
-		ms = 0
+// ReadHello reads the message that opens a connection and validates it
+// as a hello, returning the peer's role and client kind. Daemons call
+// it on every accepted connection and answer with WriteWelcome or
+// WriteBusy.
+func ReadHello(r io.Reader) (Role, byte, error) {
+	m, err := ReadMessage(r)
+	if err != nil {
+		return 0, 0, err
 	}
-	out := make([]byte, 4, 4+len(reason))
-	binary.BigEndian.PutUint32(out, uint32(ms))
-	return append(out, reason...)
+	if m.Type != MsgHello {
+		return 0, 0, fmt.Errorf("transport: message type %d before hello", m.Type)
+	}
+	return ParseHello(m.Payload)
+}
+
+// WriteWelcome accepts a peer whose hello ReadHello returned role for.
+func WriteWelcome(w io.Writer, role Role) error {
+	return WriteMessage(w, Message{Type: MsgHello, Payload: HelloPayload(role, KindViewer)})
+}
+
+// WriteBusy refuses a hello: the peer should retry after retryAfter.
+// The payload is the hint in milliseconds (4 bytes) and the reason.
+func WriteBusy(w io.Writer, retryAfter time.Duration, reason string) error {
+	p := binary.BigEndian.AppendUint32(nil, uint32(max(retryAfter.Milliseconds(), 0)))
+	return WriteMessage(w, Message{Type: MsgBusy, Payload: append(p, reason...)})
 }
 
 // UnmarshalBusy parses a MsgBusy payload.
@@ -402,19 +367,6 @@ func UnmarshalBusy(p []byte) (retryAfter time.Duration, reason string, err error
 		return 0, "", ErrTruncated
 	}
 	return time.Duration(binary.BigEndian.Uint32(p)) * time.Millisecond, string(p[4:]), nil
-}
-
-// NegotiateVersion returns the wire version two peers settle on: the
-// lower of the two advertisements, capped at ProtoV3.
-func NegotiateVersion(a, b byte) byte {
-	v := a
-	if b < v {
-		v = b
-	}
-	if v > ProtoV3 {
-		v = ProtoV3
-	}
-	return v
 }
 
 // MarshalPing builds a ping (or pong) payload from a sender-clock

@@ -15,7 +15,7 @@ import (
 func TestMessageFraming(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
-		{Type: MsgHello, Payload: []byte{1}},
+		{Type: MsgHello, Payload: HelloPayload(RoleRenderer, KindViewer)},
 		{Type: MsgImage, Payload: bytes.Repeat([]byte{7}, 1000)},
 		{Type: MsgBye},
 	}
@@ -36,14 +36,14 @@ func TestMessageFraming(t *testing.T) {
 }
 
 func TestReadMessageRejectsHugeLength(t *testing.T) {
-	buf := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1})
+	buf := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1, flagCRC})
 	if _, err := ReadMessage(buf); err == nil {
 		t.Fatal("huge length accepted")
 	}
 }
 
 func TestReadMessageTruncated(t *testing.T) {
-	buf := bytes.NewBuffer([]byte{0, 0, 0, 10, 2, 1, 2})
+	buf := bytes.NewBuffer([]byte{0, 0, 0, 10, 2, flagCRC, 2})
 	if _, err := ReadMessage(buf); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
@@ -621,5 +621,29 @@ func TestDaemonDeathClosesEndpoints(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("inbox never closed after daemon death")
+	}
+}
+
+// Close unblocks a handler still waiting for the rest of a hello.
+func TestDaemonCloseUnblocksHalfReadHello(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	d := startDaemon(t)
+	client, server := net.Pipe()
+	defer client.Close()
+	d.ServeConn(server)
+	// A pipe write returns once the handler has read the bytes, so the
+	// handler is now blocked on the remaining header bytes.
+	if _, err := client.Write([]byte{0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on a half-read hello")
 	}
 }

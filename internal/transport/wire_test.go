@@ -4,22 +4,51 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
-func TestErrTooLargeSentinel(t *testing.T) {
-	// Read side, both framings: a length prefix over the limit is the
-	// distinct ErrTooLarge, not a generic error.
-	v1 := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1})
-	if _, err := ReadMessage(v1); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("v1 err = %v, want ErrTooLarge", err)
+// logSink collects a component's log lines.
+type logSink struct {
+	mu  sync.Mutex
+	buf []string
+}
+
+func (l *logSink) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.buf = append(l.buf, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+func (l *logSink) lines() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.buf...)
+}
+
+func (l *logSink) has(substr string) bool {
+	for _, line := range l.lines() {
+		if strings.Contains(line, substr) {
+			return true
+		}
 	}
-	v2 := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1, 1})
-	if _, err := (Framer{Version: ProtoV2}).ReadMessage(v2); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("v2 err = %v, want ErrTooLarge", err)
+	return false
+}
+
+func TestErrTooLargeSentinel(t *testing.T) {
+	// Read side: a length prefix over the limit is the distinct
+	// ErrTooLarge, not a generic error.
+	hdr := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1, flagCRC})
+	if _, err := ReadMessage(hdr); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("read err = %v, want ErrTooLarge", err)
 	}
 	// Write side: an oversized payload is refused with the same
 	// sentinel before anything hits the wire.
@@ -33,22 +62,21 @@ func TestErrTooLargeSentinel(t *testing.T) {
 	}
 }
 
-func TestFramerV2RoundTrip(t *testing.T) {
-	fr := Framer{Version: ProtoV2}
+func TestFramerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
-		{Type: MsgHello, Payload: []byte{1, 1}},
+		{Type: MsgHello, Payload: HelloPayload(RoleDisplay, KindViewer)},
 		{Type: MsgImage, Payload: bytes.Repeat([]byte{7}, 1000)},
 		{Type: MsgPing, Payload: MarshalPing(42)},
 		{Type: MsgBye},
 	}
 	for _, m := range msgs {
-		if err := fr.WriteMessage(&buf, m); err != nil {
+		if err := WriteMessage(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, want := range msgs {
-		got, err := fr.ReadMessage(&buf)
+		got, err := ReadMessage(&buf)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
@@ -58,144 +86,128 @@ func TestFramerV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestFramerV2DetectsCorruptionAndRealigns(t *testing.T) {
-	fr := Framer{Version: ProtoV2}
+// tamperFirstFrame writes an image frame and a control frame, flips
+// the xor bits of byte off of the first, and checks that reading the
+// first is ErrChecksum and that the stream stays aligned: the second
+// frame reads clean.
+func tamperFirstFrame(t *testing.T, off int, xor byte) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := fr.WriteMessage(&buf, Message{Type: MsgImage, Payload: bytes.Repeat([]byte{9}, 64)}); err != nil {
+	if err := WriteMessage(&buf, Message{Type: MsgImage, Payload: bytes.Repeat([]byte{9}, 64)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fr.WriteMessage(&buf, Message{Type: MsgControl, Payload: []byte("intact")}); err != nil {
+	if err := WriteMessage(&buf, Message{Type: MsgControl, Payload: []byte("intact")}); err != nil {
 		t.Fatal(err)
 	}
 	wire := buf.Bytes()
-	wire[6+10] ^= 0xFF // flip a payload byte of the first frame
-
+	wire[off] ^= xor
 	r := bytes.NewReader(wire)
-	if _, err := fr.ReadMessage(r); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("err = %v, want ErrChecksum", err)
+	if m, err := ReadMessage(r); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("tampered frame read as type %d, err %v; want ErrChecksum", m.Type, err)
 	}
-	// The stream is still frame-aligned: the next message reads clean.
-	got, err := fr.ReadMessage(r)
+	got, err := ReadMessage(r)
 	if err != nil {
-		t.Fatalf("post-corruption read: %v", err)
+		t.Fatalf("next frame: %v", err)
 	}
 	if got.Type != MsgControl || string(got.Payload) != "intact" {
-		t.Fatalf("post-corruption message mismatch: %+v", got)
+		t.Fatalf("next frame mismatch: %+v", got)
 	}
+}
+
+func TestFramerV2DetectsCorruptionAndRealigns(t *testing.T) {
+	tamperFirstFrame(t, 6+10, 0xFF) // a payload byte
 }
 
 func TestFramerV2DetectsTypeFlip(t *testing.T) {
-	fr := Framer{Version: ProtoV2}
-	var buf bytes.Buffer
-	if err := fr.WriteMessage(&buf, Message{Type: MsgImage, Payload: []byte{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()
-	wire[4] ^= 0xFF // the type byte is covered by the CRC too
-	if _, err := fr.ReadMessage(bytes.NewReader(wire)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("err = %v, want ErrChecksum", err)
-	}
+	tamperFirstFrame(t, 4, 0xFF) // the type byte is covered by the CRC too
 }
 
-func TestNegotiateVersion(t *testing.T) {
-	cases := []struct{ a, b, want byte }{
-		{ProtoV1, ProtoV1, ProtoV1},
-		{ProtoV2, ProtoV1, ProtoV1},
-		{ProtoV1, ProtoV2, ProtoV1},
-		{ProtoV2, ProtoV2, ProtoV2},
-		{ProtoV3, ProtoV2, ProtoV2},
-		{ProtoV3, ProtoV3, ProtoV3},
-		{9, 7, ProtoV3}, // future versions cap at what we speak
-	}
-	for _, c := range cases {
-		if got := NegotiateVersion(c.a, c.b); got != c.want {
-			t.Errorf("NegotiateVersion(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+// TestReadMessageRejectsTamperedFrames: the flags byte is verified
+// too, so a frame whose CRC bit is clear is not delivered unverified
+// and an unknown flag bit is refused.
+func TestReadMessageRejectsTamperedFrames(t *testing.T) {
+	t.Run("flags-crc-bit-clear", func(t *testing.T) { tamperFirstFrame(t, 5, flagCRC) })
+	t.Run("flags-unknown-bit", func(t *testing.T) { tamperFirstFrame(t, 5, 1<<2) })
+}
+
+// A valid hello round-trips its role and kind; another version, a
+// short payload or an unknown role is refused.
+func TestParseHello(t *testing.T) {
+	for _, kind := range []byte{KindViewer, KindRelay} {
+		role, k, err := ParseHello(HelloPayload(RoleDisplay, kind))
+		if err != nil || role != RoleDisplay || k != kind {
+			t.Fatalf("kind %d: hello = (%v, %d, %v)", kind, role, k, err)
 		}
 	}
-}
-
-func TestParseHelloLegacyAndV2(t *testing.T) {
-	if role, v, err := ParseHello([]byte{byte(RoleDisplay)}); err != nil || role != RoleDisplay || v != ProtoV1 {
-		t.Fatalf("legacy hello = (%v,%d,%v)", role, v, err)
+	_, _, err := ParseHello([]byte{byte(RoleDisplay), 1})
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "only 2") {
+		t.Fatalf("version-1 hello: err = %v, want one naming versions 1 and 2", err)
 	}
-	if role, v, err := ParseHello(HelloPayload(RoleRenderer, ProtoV2)); err != nil || role != RoleRenderer || v != ProtoV2 {
-		t.Fatalf("v2 hello = (%v,%d,%v)", role, v, err)
+	if _, _, err := ParseHello([]byte{byte(RoleDisplay)}); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("one-byte hello: err = %v, want ErrTruncated", err)
 	}
-	if _, _, err := ParseHello(nil); err == nil {
-		t.Fatal("empty hello accepted")
+	if _, _, err := ParseHello([]byte{9, ProtoV3}); err == nil {
+		t.Fatal("unknown role accepted")
 	}
 }
 
-func TestEndpointNegotiatesV2(t *testing.T) {
+// versionOneHello is a correctly framed hello whose version byte is 1.
+func versionOneHello(t *testing.T, conn net.Conn, role Role) {
+	t.Helper()
+	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: []byte{byte(role), 1}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A daemon refuses a hello of another wire version: it logs why,
+// closes the connection without a welcome, and never lists the peer.
+func TestDaemonRefusesOtherVersionHello(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	d, err := ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	ep, err := Dial(d.Addr().String(), RoleRenderer, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	if ep.ProtoVersion() != ProtoV3 {
-		t.Fatalf("negotiated v%d, want v%d", ep.ProtoVersion(), ProtoV3)
-	}
-	health := d.Health()
-	if len(health) != 1 || health[0].Proto != ProtoV3 || !health[0].Healthy {
-		t.Fatalf("health = %+v", health)
-	}
-}
-
-// A legacy (v1-only) peer and a v2 peer interoperate through the
-// daemon: the image crosses framings.
-func TestLegacyPeerInterop(t *testing.T) {
-	d, err := ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	view, err := Dial(d.Addr().String(), RoleDisplay, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer view.Close()
-
-	// Legacy renderer: single-byte hello, v1 framing throughout.
+	var logs logSink
+	d.SetLogf(logs.logf)
 	conn, err := net.Dial("tcp", d.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: []byte{byte(RoleRenderer)}}); err != nil {
-		t.Fatal(err)
+	versionOneHello(t, conn, RoleDisplay)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if m, err := ReadMessage(conn); err == nil {
+		t.Fatalf("refused peer got a type %d reply", m.Type)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("daemon kept the connection open")
 	}
-	welcome, err := ReadMessage(conn)
-	if err != nil || welcome.Type != MsgHello {
-		t.Fatalf("welcome = %+v, %v", welcome, err)
+	if h := d.Health(); len(h) != 0 {
+		t.Fatalf("refused peer listed: %+v", h)
 	}
-	if _, v, _ := ParseHello(welcome.Payload); v != ProtoV1 {
-		t.Fatalf("daemon offered v%d to legacy peer", v)
+	if !logs.has("refused") || !logs.has("version 1") {
+		t.Fatalf("no refusal logged: %q", logs.lines())
 	}
-	im := &ImageMsg{FrameID: 3, PieceCount: 1, X1: 4, Y1: 4, W: 4, H: 4, Codec: "raw", Data: []byte{1, 2}}
-	p, err := im.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMessage(conn, Message{Type: MsgImage, Payload: p}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-view.Inbox():
-		if m.Type != MsgImage {
-			t.Fatalf("got type %d", m.Type)
+}
+
+// An endpoint refuses a welcome of another wire version with an error
+// naming both versions.
+func TestEndpointRefusesOtherVersionWelcome(t *testing.T) {
+	srv, cli := net.Pipe()
+	defer srv.Close()
+	go func() {
+		if _, err := ReadMessage(srv); err != nil {
+			return
 		}
-		got, err := UnmarshalImage(m.Payload)
-		if err != nil || got.FrameID != 3 {
-			t.Fatalf("image = %+v, %v", got, err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("image did not cross framings")
+		WriteMessage(srv, Message{Type: MsgHello, Payload: []byte{byte(RoleRenderer), 1}})
+	}()
+	ep, err := NewEndpoint(cli, RoleRenderer)
+	if err == nil {
+		ep.Close()
+		t.Fatal("endpoint accepted a version-1 welcome")
+	}
+	if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "only 2") {
+		t.Fatalf("err = %v, want one naming versions 1 and 2", err)
 	}
 }
 
@@ -222,7 +234,7 @@ func TestEndpointPingMeasuresRTT(t *testing.T) {
 	}
 }
 
-func TestDaemonEvictsSilentV2Peer(t *testing.T) {
+func TestDaemonEvictsMutePeer(t *testing.T) {
 	d, err := ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -230,13 +242,13 @@ func TestDaemonEvictsSilentV2Peer(t *testing.T) {
 	defer d.Close()
 	d.SetHeartbeat(10*time.Millisecond, 40*time.Millisecond)
 
-	// Handshake as v2 by hand, then go silent: no pongs, ever.
+	// Handshake by hand, then go mute: no pongs, ever.
 	conn, err := net.Dial("tcp", d.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: HelloPayload(RoleDisplay, ProtoV2)}); err != nil {
+	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: HelloPayload(RoleDisplay, KindViewer)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadMessage(conn); err != nil {
@@ -262,57 +274,25 @@ func TestDaemonEvictsSilentV2Peer(t *testing.T) {
 	}
 }
 
-func TestDaemonNeverEvictsLegacyPeer(t *testing.T) {
-	d, err := ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.SetHeartbeat(5*time.Millisecond, 15*time.Millisecond)
-
-	conn, err := net.Dial("tcp", d.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Legacy hello: the daemon cannot tell silent-but-healthy from
-	// dead, so it must keep the peer.
-	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: []byte{byte(RoleDisplay)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMessage(conn); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond) // many timeouts worth of silence
-	if got := d.Stats().PeersEvicted.Load(); got != 0 {
-		t.Fatalf("legacy peer evicted (%d)", got)
-	}
-	h := d.Health()
-	if len(h) != 1 || h[0].Proto != ProtoV1 || !h[0].Healthy {
-		t.Fatalf("health = %+v", h)
-	}
-}
-
 func TestEndpointDropsCorruptFramesAndCounts(t *testing.T) {
-	// Daemon -> endpoint direction: feed the endpoint a corrupt v2
-	// frame by hand and verify it is counted, dropped, and the
+	// Daemon -> endpoint direction: feed the endpoint a corrupt frame
+	// by hand and verify it is counted, dropped, and the
 	// connection survives.
 	srv, cli := net.Pipe()
 	defer srv.Close()
 	go func() {
 		// Daemon side of the handshake.
 		ReadMessage(srv)
-		WriteMessage(srv, Message{Type: MsgHello, Payload: HelloPayload(RoleDisplay, ProtoV2)})
-		fr := Framer{Version: ProtoV2}
+		WriteWelcome(srv, RoleDisplay)
 		var buf bytes.Buffer
-		fr.WriteMessage(&buf, Message{Type: MsgControl, Payload: []byte("bad")})
+		WriteMessage(&buf, Message{Type: MsgControl, Payload: []byte("bad")})
 		wire := buf.Bytes()
 		wire[6] ^= 0xFF // corrupt the first payload byte
 		srv.Write(wire)
-		fr.WriteMessage(srv, Message{Type: MsgControl, Payload: []byte("good")})
+		WriteMessage(srv, Message{Type: MsgControl, Payload: []byte("good")})
 		// Drain the endpoint's writes so pings/byes never block.
 		for {
-			if _, err := fr.ReadMessage(srv); err != nil {
+			if _, err := ReadMessage(srv); err != nil {
 				return
 			}
 		}
@@ -435,17 +415,17 @@ func TestSessionSendFailsFastWhileDown(t *testing.T) {
 	t.Fatal("Send never returned ErrReconnecting while down")
 }
 
-// The proto version header must stay big-endian length-first so v1
-// readers reject (rather than misparse) v2 frames; lock the layout.
+// TestV2HeaderLayout locks the untraced frame header: big-endian
+// length first, then type and flags, so an old length-only reader
+// rejects rather than misparses a frame.
 func TestV2HeaderLayout(t *testing.T) {
-	fr := Framer{Version: ProtoV2}
 	var buf bytes.Buffer
-	if err := fr.WriteMessage(&buf, Message{Type: MsgImage, Payload: []byte{0xAB}}); err != nil {
+	if err := WriteMessage(&buf, Message{Type: MsgImage, Payload: []byte{0xAB}}); err != nil {
 		t.Fatal(err)
 	}
 	wire := buf.Bytes()
 	if len(wire) != 6+1+4 {
-		t.Fatalf("v2 frame length %d, want 11", len(wire))
+		t.Fatalf("untraced frame length %d, want 11", len(wire))
 	}
 	if n := binary.BigEndian.Uint32(wire[:4]); n != 1 {
 		t.Fatalf("length field = %d", n)
@@ -459,7 +439,6 @@ func TestV2HeaderLayout(t *testing.T) {
 // write/read cycle intact, and untraced v3 messages omit the block
 // entirely (flag clear, no extra bytes).
 func TestFramerV3TraceRoundTrip(t *testing.T) {
-	fr := Framer{Version: ProtoV3}
 	var buf bytes.Buffer
 	tc := &TraceCtx{TraceID: 0xDEADBEEFCAFE, FrameID: 1293, Hop: 3, OriginUnixNano: 1_700_000_000_123_456_789}
 	msgs := []Message{
@@ -468,12 +447,12 @@ func TestFramerV3TraceRoundTrip(t *testing.T) {
 		{Type: MsgAck, Payload: []byte{9}, Trace: &TraceCtx{TraceID: 1, FrameID: 2, Hop: 1}},
 	}
 	for _, m := range msgs {
-		if err := fr.WriteMessage(&buf, m); err != nil {
+		if err := WriteMessage(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, want := range msgs {
-		got, err := fr.ReadMessage(&buf)
+		got, err := ReadMessage(&buf)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
@@ -493,9 +472,8 @@ func TestFramerV3TraceRoundTrip(t *testing.T) {
 // must fail the checksum — the trace is load-bearing routing metadata,
 // not an unprotected annex.
 func TestFramerV3TraceCoveredByCRC(t *testing.T) {
-	fr := Framer{Version: ProtoV3}
 	var buf bytes.Buffer
-	if err := fr.WriteMessage(&buf, Message{
+	if err := WriteMessage(&buf, Message{
 		Type: MsgImage, Payload: []byte{1, 2, 3},
 		Trace: &TraceCtx{TraceID: 5, FrameID: 6, Hop: 1},
 	}); err != nil {
@@ -503,77 +481,34 @@ func TestFramerV3TraceCoveredByCRC(t *testing.T) {
 	}
 	wire := buf.Bytes()
 	wire[6] ^= 0xFF // first byte of the trace block (after 6-byte header)
-	if _, err := (Framer{Version: ProtoV3}).ReadMessage(bytes.NewReader(wire)); !errors.Is(err, ErrChecksum) {
+	if _, err := ReadMessage(bytes.NewReader(wire)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted trace read err = %v, want ErrChecksum", err)
 	}
 }
 
-// TestOlderFramersStripTrace: a message carrying a trace context
-// written at v1 or v2 framing loses the trace silently — the exact
-// behavior that lets a v3 sender talk to a v2-negotiated peer.
-func TestOlderFramersStripTrace(t *testing.T) {
-	for _, ver := range []byte{ProtoV1, ProtoV2} {
-		fr := Framer{Version: ver}
-		var buf bytes.Buffer
-		if err := fr.WriteMessage(&buf, Message{
-			Type: MsgImage, Payload: []byte{4, 5},
-			Trace: &TraceCtx{TraceID: 9, FrameID: 1, Hop: 1},
-		}); err != nil {
-			t.Fatalf("v%d: %v", ver, err)
-		}
-		got, err := fr.ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("v%d: %v", ver, err)
-		}
-		if got.Trace != nil {
-			t.Fatalf("v%d framing leaked a trace context", ver)
-		}
-		if !bytes.Equal(got.Payload, []byte{4, 5}) {
-			t.Fatalf("v%d payload mismatch", ver)
-		}
-	}
-}
-
-// TestDaemonMixedVersionPeers: a v3 renderer with trace contexts and a
-// legacy v2 display on the same daemon. The v2 display must receive
-// every frame in clean v2 framing (no trace bytes), while a v3 display
-// sees the forwarded trace with the hop advanced.
-func TestDaemonMixedVersionPeers(t *testing.T) {
+// TestDaemonTracedRendererTwoDisplays: a traced renderer's frame
+// reaches both displays on the daemon with the trace context intact
+// and the hop advanced.
+func TestDaemonTracedRendererTwoDisplays(t *testing.T) {
 	d, err := ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-
-	// v2 display: raw handshake pinned at ProtoV2.
-	v2conn, err := net.Dial("tcp", d.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	var displays []*Endpoint
+	for i := 0; i < 2; i++ {
+		disp, err := Dial(d.Addr().String(), RoleDisplay, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer disp.Close()
+		displays = append(displays, disp)
 	}
-	defer v2conn.Close()
-	if err := WriteMessage(v2conn, Message{Type: MsgHello, Payload: HelloPayload(RoleDisplay, ProtoV2)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMessage(v2conn); err != nil {
-		t.Fatal(err)
-	}
-	v2fr := Framer{Version: ProtoV2}
-
-	// v3 display: the normal endpoint path.
-	v3disp, err := Dial(d.Addr().String(), RoleDisplay, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v3disp.Close()
-
 	rend, err := Dial(d.Addr().String(), RoleRenderer, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rend.Close()
-	if rend.ProtoVersion() != ProtoV3 {
-		t.Fatalf("renderer negotiated v%d, want v%d", rend.ProtoVersion(), ProtoV3)
-	}
 
 	payload := bytes.Repeat([]byte{3}, 64)
 	if err := rend.Send(Message{
@@ -582,44 +517,30 @@ func TestDaemonMixedVersionPeers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	// The v2 display gets the image, stripped of the trace.
-	v2conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := v2fr.ReadMessage(v2conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != MsgImage || !bytes.Equal(got.Payload, payload) {
-		t.Fatalf("v2 display got type %d, %d bytes", got.Type, len(got.Payload))
-	}
-	if got.Trace != nil {
-		t.Fatal("v2 display received a trace context")
-	}
-
-	// The v3 display gets the same image with the hop advanced.
-	select {
-	case m := <-v3disp.Inbox():
-		if m.Type != MsgImage || !bytes.Equal(m.Payload, payload) {
-			t.Fatalf("v3 display got type %d, %d bytes", m.Type, len(m.Payload))
+	for i, disp := range displays {
+		select {
+		case m := <-disp.Inbox():
+			if m.Type != MsgImage || !bytes.Equal(m.Payload, payload) {
+				t.Fatalf("display %d got type %d, %d bytes", i, m.Type, len(m.Payload))
+			}
+			if m.Trace == nil {
+				t.Fatalf("display %d lost the trace context", i)
+			}
+			if *m.Trace != (TraceCtx{TraceID: 77, FrameID: 8, Hop: 2, OriginUnixNano: 42}) {
+				t.Fatalf("display %d: forwarded trace = %+v, want id 77 frame 8 hop 2 origin 42", i, m.Trace)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("display %d never received the frame", i)
 		}
-		if m.Trace == nil {
-			t.Fatal("v3 display lost the trace context")
-		}
-		if m.Trace.TraceID != 77 || m.Trace.FrameID != 8 || m.Trace.Hop != 2 || m.Trace.OriginUnixNano != 42 {
-			t.Fatalf("forwarded trace = %+v, want id 77 frame 8 hop 2 origin 42", m.Trace)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("v3 display never received the frame")
 	}
 }
 
-// TestV3HeaderLayout locks the traced-frame wire layout: 6-byte v2
+// TestV3HeaderLayout locks the traced-frame wire layout: 6-byte
 // header, flagTrace set, 21-byte trace block big-endian, then payload
 // and CRC trailer.
 func TestV3HeaderLayout(t *testing.T) {
-	fr := Framer{Version: ProtoV3}
 	var buf bytes.Buffer
-	err := fr.WriteMessage(&buf, Message{
+	err := WriteMessage(&buf, Message{
 		Type: MsgImage, Payload: []byte{0xAB},
 		Trace: &TraceCtx{TraceID: 0x0102030405060708, FrameID: 0x0A0B0C0D, Hop: 2, OriginUnixNano: 1},
 	})
@@ -628,7 +549,7 @@ func TestV3HeaderLayout(t *testing.T) {
 	}
 	wire := buf.Bytes()
 	if len(wire) != 6+21+1+4 {
-		t.Fatalf("traced v3 frame length %d, want 32", len(wire))
+		t.Fatalf("traced frame length %d, want 32", len(wire))
 	}
 	if n := binary.BigEndian.Uint32(wire[:4]); n != 1 {
 		t.Fatalf("length field = %d, want payload-only 1", n)
