@@ -2,32 +2,16 @@
 //
 //	paperbench                     # run every experiment at paper scale
 //	paperbench -exp table1         # one experiment
-//	paperbench -quick              # reduced sizes/links for a fast pass
+//	paperbench -quick              # smaller images, volumes and repetitions
 //	paperbench -json results.json  # also write machine-readable results
-//	paperbench -exp pipeline -trace out.json
-//	                               # traced pipeline run; open out.json
-//	                               # in a Perfetto/chrome://tracing viewer
+//	paperbench -exp trace -trace out.json
+//	                               # simulated schedule as Chrome trace
+//	                               # JSON; open out.json in a
+//	                               # Perfetto/chrome://tracing viewer
 //
 // Experiments: table1, table2, fig6, fig7, fig8, fig9, fig10, fig11,
-// datasets, hybrid, trace, pipeline, adaptive, codec, faults, relay,
-// status, overload, all. Performance is measured by `go run ./bench`
-// (see bench/README.md), not here.
-//
-//	paperbench -exp status -trace merged.json -json BENCH_status.json
-//	                               # loopback relay tree with one
-//	                               # impaired link; the provenance
-//	                               # collector must attribute it
-//	paperbench -exp codec -json BENCH_codec.json
-//	                               # compression-ladder evaluation:
-//	                               # ratio / throughput / error bound
-//	                               # per rung, jls-vs-lzo/bzip
-//	                               # contrasts, progressive preview
-//	                               # cost on the Japan link; CI gates
-//	                               # on the acceptance booleans
-//	paperbench -exp overload -json BENCH_overload.json
-//	                               # chaos soak: client flood + faults
-//	                               # under a small memory budget; CI
-//	                               # gates on overload.passed
+// datasets, hybrid, trace, all. Performance is measured by
+// `go run ./bench` (see bench/README.md), not here.
 package main
 
 import (
@@ -41,10 +25,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1,table2,fig6,fig7,fig8,fig9,fig10,fig11,datasets,hybrid,trace,pipeline,adaptive,codec,faults,relay,status,overload,all)")
-	quick := flag.Bool("quick", false, "reduced sizes and accelerated links")
+	exp := flag.String("exp", "all", "experiment to run (table1,table2,fig6,fig7,fig8,fig9,fig10,fig11,datasets,hybrid,trace,all)")
+	quick := flag.Bool("quick", false, "smaller images, volumes and repetitions")
 	jsonPath := flag.String("json", "", "write results as JSON (experiment id -> values) to this file")
-	tracePath := flag.String("trace", "", "write Chrome trace-event JSON from tracing experiments to this file")
+	tracePath := flag.String("trace", "", "write the trace experiment's simulated schedule as Chrome trace-event JSON to this file")
 	flag.Parse()
 
 	ctx := experiments.New(os.Stdout, *quick)
@@ -61,15 +45,8 @@ func main() {
 		"datasets": wrap(ctx.Datasets),
 		"hybrid":   wrap(ctx.Hybrid),
 		"trace":    wrap(ctx.Trace),
-		"pipeline": wrap(ctx.Pipeline),
-		"adaptive": wrap(ctx.Adaptive),
-		"codec":    wrap(ctx.Codec),
-		"faults":   wrap(ctx.Faults),
-		"relay":    wrap(ctx.Relay),
-		"status":   wrap(ctx.Status),
-		"overload": wrap(ctx.Overload),
 	}
-	order := []string{"table1", "fig6", "fig7", "fig8", "table2", "fig9", "fig10", "fig11", "datasets", "hybrid", "trace", "pipeline", "adaptive", "codec", "faults", "relay", "status", "overload"}
+	order := []string{"table1", "fig6", "fig7", "fig8", "table2", "fig9", "fig10", "fig11", "datasets", "hybrid", "trace"}
 
 	var todo []string
 	switch *exp {

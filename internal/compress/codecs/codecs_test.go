@@ -3,11 +3,14 @@ package codecs
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/compress"
 	"repro/internal/compress/jls"
 	"repro/internal/compress/prog"
 	"repro/internal/img"
+	"repro/internal/testutil"
+	"repro/internal/wan"
 )
 
 func renderedStyleFrame(n int) *img.Frame {
@@ -122,68 +125,144 @@ func TestTable1SizeOrdering(t *testing.T) {
 	}
 }
 
+// texturedFrame overlays value noise on f: amplitude amp on a lattice
+// step pixels apart, bilinearly interpolated, one lattice per channel.
+// The result has fine-scale detail that is spatially correlated, like
+// full-resolution turbulence, rather than iid noise, which no
+// predictive codec can predict.
+func texturedFrame(f *img.Frame, amp, step int) *img.Frame {
+	gw, gh := f.W/step+2, f.H/step+2
+	grid := make([]int, 3*gw*gh)
+	state := uint32(0x9e3779b9)
+	for i := range grid {
+		state = state*1664525 + 1013904223
+		grid[i] = int(state>>24)%(2*amp+1) - amp
+	}
+	out := img.NewFrame(f.W, f.H)
+	for y := 0; y < f.H; y++ {
+		gy, fy := y/step, y%step
+		for x := 0; x < f.W; x++ {
+			gx, fx := x/step, x%step
+			for ch := 0; ch < 3; ch++ {
+				g := grid[ch*gw*gh:]
+				top := g[gy*gw+gx]*(step-fx) + g[gy*gw+gx+1]*fx
+				bot := g[(gy+1)*gw+gx]*(step-fx) + g[(gy+1)*gw+gx+1]*fx
+				n := (top*(step-fy) + bot*fy) / (step * step)
+				i := (y*f.W+x)*3 + ch
+				out.Pix[i] = byte(min(max(int(f.Pix[i])+n, 0), 255))
+			}
+		}
+	}
+	return out
+}
+
+// ladderFrames are the contents the ladder-placement claims must hold
+// on: a smooth rendered-style frame and the same with correlated
+// texture.
+func ladderFrames() map[string]*img.Frame {
+	f := renderedStyleFrame(256)
+	return map[string]*img.Frame{"smooth": f, "textured": texturedFrame(f, 24, 4)}
+}
+
 // TestJlsBeatsLzoRatio pins the ladder-placement claim: on
 // rendered-style content, jls at NEAR 0/2/4 always produces fewer
-// bytes than LZO (the codec it outranks in the quality ladder).
+// bytes than LZO (the codec it outranks in the quality ladder), within
+// its error bound.
 func TestJlsBeatsLzoRatio(t *testing.T) {
-	f := renderedStyleFrame(256)
 	lzoC, err := compress.ByName("lzo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lzoData, err := lzoC.EncodeFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, near := range []int{0, 2, 4} {
-		data, err := (jls.Codec{Near: near}).EncodeFrame(f)
+	for name, f := range ladderFrames() {
+		lzoData, err := lzoC.EncodeFrame(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(data) >= len(lzoData) {
-			t.Fatalf("jls near=%d %d bytes >= lzo %d", near, len(data), len(lzoData))
-		}
-		got, err := (jls.Codec{}).DecodeFrame(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range f.Pix {
-			d := int(f.Pix[i]) - int(got.Pix[i])
-			if d < 0 {
-				d = -d
+		for _, near := range []int{0, 2, 4} {
+			data, err := (jls.Codec{Near: near}).EncodeFrame(f)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if d > near {
-				t.Fatalf("near=%d: pixel byte %d off by %d", near, i, d)
+			if len(data) >= len(lzoData) {
+				t.Fatalf("%s: jls near=%d %d bytes >= lzo %d", name, near, len(data), len(lzoData))
+			}
+			got, err := (jls.Codec{}).DecodeFrame(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range f.Pix {
+				d := int(f.Pix[i]) - int(got.Pix[i])
+				if d < 0 {
+					d = -d
+				}
+				if d > near {
+					t.Fatalf("%s: near=%d: pixel byte %d off by %d", name, near, i, d)
+				}
 			}
 		}
 	}
 }
 
+// TestJlsEncodesFasterThanBzip pins the other half of jls's ladder
+// placement: it out-compresses LZO while encoding faster than BZIP.
+func TestJlsEncodesFasterThanBzip(t *testing.T) {
+	f := ladderFrames()["textured"]
+	bz, err := compress.ByName("bzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	encodeTime := func(c compress.FrameCodec) time.Duration {
+		var total time.Duration
+		for i := 0; i < 2; i++ {
+			start := time.Now()
+			if _, err := c.EncodeFrame(f); err != nil {
+				t.Fatal(err)
+			}
+			total += time.Since(start)
+		}
+		return total
+	}
+	jlsT, bzT := encodeTime(jls.Codec{}), encodeTime(bz)
+	t.Logf("two 256² encodes: jls %v, bzip %v", jlsT, bzT)
+	if testutil.RaceEnabled {
+		t.Skip("race detector on: encode-speed comparison skipped")
+	}
+	if jlsT >= bzT {
+		t.Errorf("jls encode %v not faster than bzip %v", jlsT, bzT)
+	}
+}
+
 // TestProgPreviewFraction pins the progressive claim: the first pass
-// alone decodes and costs at most 25% of the full stream.
+// alone decodes, costs at most 25% of the full stream, and would land
+// on the 45 KB/s Japan–UCD link in under a second.
 func TestProgPreviewFraction(t *testing.T) {
-	f := renderedStyleFrame(256)
 	c, err := compress.ByName("prog")
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := c.EncodeFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preview, err := prog.Truncate(full, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if 4*len(preview) > len(full) {
-		t.Fatalf("preview %d bytes > 25%% of full %d", len(preview), len(full))
-	}
-	pf, err := c.DecodeFrame(preview)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := img.PSNR(f, pf); p < 20 {
-		t.Fatalf("preview PSNR %.1f dB not usable", p)
+	japan := wan.JapanUCD()
+	for name, f := range ladderFrames() {
+		full, err := c.EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preview, err := prog.Truncate(full, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if 4*len(preview) > len(full) {
+			t.Fatalf("%s: preview %d bytes > 25%% of full %d", name, len(preview), len(full))
+		}
+		if s := japan.Latency.Seconds() + float64(len(preview))/japan.Bandwidth; s >= 1 {
+			t.Fatalf("%s: preview needs %.2fs on %s, want under 1s", name, s, japan.Name)
+		}
+		pf, err := c.DecodeFrame(preview)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := img.PSNR(f, pf); p < 20 {
+			t.Fatalf("%s: preview PSNR %.1f dB not usable", name, p)
+		}
 	}
 }
 

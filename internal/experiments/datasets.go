@@ -58,7 +58,7 @@ func (c *Context) Datasets() (*DatasetsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	link := c.scaleLink(wan.JapanUCD())
+	link := wan.JapanUCD()
 	size := 512
 	if c.Quick {
 		size = 128

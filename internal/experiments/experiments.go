@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§6). Each experiment returns a structured result
 // and can print it in the paper's row/series format; cmd/paperbench
-// drives them all, and bench_test.go wraps them as testing.B targets.
+// drives them all.
 //
 // Measurement strategy per experiment:
 //
@@ -50,10 +50,8 @@ type Context struct {
 	Quick bool
 	// Out receives printed tables; nil discards them.
 	Out io.Writer
-	// TracePath, when non-empty, makes tracing experiments write
-	// Chrome trace-event JSON here: Pipeline writes its wall-clock
-	// spans to TracePath itself; Trace writes the simulated schedule
-	// to the same path with a ".sim" infix (out.json -> out.sim.json).
+	// TracePath, when non-empty, makes Trace write the simulated
+	// schedule here as Chrome trace-event JSON.
 	TracePath string
 
 	mu     sync.Mutex
@@ -233,9 +231,3 @@ func measureTransfer(payload []byte, link wan.Profile, reps int) (time.Duration,
 	}
 	return total / time.Duration(reps), nil
 }
-
-// scaleLink returns the link unchanged: transfer experiments always
-// run against the calibrated profiles so times are comparable to the
-// simulated render stages; Quick mode keeps runtime down via smaller
-// image sizes and fewer repetitions instead.
-func (c *Context) scaleLink(p wan.Profile) wan.Profile { return p }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -155,10 +153,9 @@ func (c *Context) Trace() (string, error) {
 	out := sim.GanttString(r.Trace, 100)
 	c.printf("%s\n", out)
 	if c.TracePath != "" {
-		path := simTracePath(c.TracePath)
 		tr := obs.NewTracer(nil, obs.DefaultTraceCapacity)
 		sim.ExportSpans(tr, r.Trace)
-		f, err := os.Create(path)
+		f, err := os.Create(c.TracePath)
 		if err != nil {
 			return "", err
 		}
@@ -169,18 +166,9 @@ func (c *Context) Trace() (string, error) {
 		if err := f.Close(); err != nil {
 			return "", err
 		}
-		c.printf("wrote simulated-schedule Chrome trace %s\n", path)
+		c.printf("wrote simulated-schedule Chrome trace %s\n", c.TracePath)
 	}
 	return out, nil
-}
-
-// simTracePath derives the simulated-schedule trace file name from the
-// main trace path: out.json -> out.sim.json.
-func simTracePath(p string) string {
-	if ext := filepath.Ext(p); ext == ".json" {
-		return strings.TrimSuffix(p, ext) + ".sim" + ext
-	}
-	return p + ".sim.json"
 }
 
 // Fig9Row is one bar pair of Figure 9: per-frame render time vs
@@ -207,7 +195,7 @@ func (c *Context) Fig9() (*Fig9Result, error) {
 		return nil, err
 	}
 	m, _ := cal.ScaleToPaper(sim.O2K(), jetDims())
-	link := c.scaleLink(wan.NASAUCD())
+	link := wan.NASAUCD()
 	reps := 2
 	if c.Quick {
 		reps = 1

@@ -85,7 +85,6 @@ func (c *Context) measureDisplayPath(dataset string, size int, codecName string,
 
 // transferExperiment measures X (raw) vs compression rows over a link.
 func (c *Context) transferExperiment(link wan.Profile, label string) (*TransferResult, error) {
-	link = c.scaleLink(link)
 	res := &TransferResult{
 		Link:  link,
 		Sizes: c.sizes(),

@@ -5,8 +5,7 @@
 // "kill" switches for whole components. Byte-offset triggers count a
 // connection's cumulative written bytes, so a given Plan applied to a
 // given stream always faults at the same place — every failure
-// scenario in the chaos tests and in `paperbench -exp faults` replays
-// exactly.
+// scenario in the chaos tests and the overload soak replays exactly.
 //
 // Injected faults compose with wan shaping: wrap the already-shaped
 // connection (fault outside, wan inside) so corruption and drops hit
@@ -63,9 +62,9 @@ type Plan struct {
 	SlowStartBandwidth float64
 
 	// ReadStallEveryBytes stalls the read side for ReadStall every N
-	// received bytes (0 = never) — a congested inbound link. This is
-	// the knob the status experiment turns to slow one relay's intake
-	// without touching its outbound stream.
+	// received bytes (0 = never) — a congested inbound link that slows
+	// one relay's intake without touching its outbound stream; the
+	// overload soak keeps one on an edge's upstream for the whole run.
 	ReadStallEveryBytes int64
 	ReadStall           time.Duration
 }

@@ -141,40 +141,6 @@ func NewTable(header ...string) *Table { return &Table{header: header} }
 // precision via Cell helpers where needed.
 func (t *Table) Row(cells ...string) { t.rows = append(t.rows, cells) }
 
-// Rowf appends a row of formatted values. The format string is split
-// on whitespace into one fragment per cell and each fragment is
-// formatted with the arguments its verbs consume, so a formatted cell
-// may itself contain spaces.
-func (t *Table) Rowf(format string, args ...any) {
-	fragments := strings.Fields(format)
-	row := make([]string, 0, len(fragments))
-	for _, frag := range fragments {
-		n := countVerbs(frag)
-		if n > len(args) {
-			n = len(args)
-		}
-		row = append(row, fmt.Sprintf(frag, args[:n]...))
-		args = args[n:]
-	}
-	t.rows = append(t.rows, row)
-}
-
-// countVerbs counts the formatting verbs in a fragment ("%%" escapes
-// excluded).
-func countVerbs(s string) int {
-	n := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '%' {
-			if i+1 < len(s) && s[i+1] == '%' {
-				i++
-				continue
-			}
-			n++
-		}
-	}
-	return n
-}
-
 // Write renders the table.
 func (t *Table) Write(w io.Writer) error {
 	widths := make([]int, len(t.header))

@@ -86,28 +86,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestRowfCellsWithSpaces(t *testing.T) {
-	tab := NewTable("codec", "size", "note")
-	tab.Rowf("%s %d %s", "jpeg lzo chain", 256, "two phase")
-	tab.Rowf("%s %.2f%% %s", "raw", 99.5, "baseline")
-	out := tab.String()
-	if !strings.Contains(out, "jpeg lzo chain") {
-		t.Fatalf("cell with spaces split:\n%s", out)
-	}
-	if !strings.Contains(out, "two phase") {
-		t.Fatalf("trailing cell with spaces split:\n%s", out)
-	}
-	if !strings.Contains(out, "99.50%") {
-		t.Fatalf("%%%% escape mishandled:\n%s", out)
-	}
-	// Each Rowf row must have exactly one entry per header column.
-	for _, r := range tab.rows {
-		if len(r) != 3 {
-			t.Fatalf("row has %d cells: %q", len(r), r)
-		}
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	tab := NewTable("method", "size", "bytes")
 	tab.Row("raw", "128", "49152")

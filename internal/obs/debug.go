@@ -33,9 +33,8 @@ type DebugConfig struct {
 	// stats, broker client sessions, ...).
 	Status func() any
 	// Frames, when set, serves /debug/frames — the frame-provenance
-	// ring buffer dump the cross-process collector crawls. Declared as
-	// a generic handler (rather than *provenance.Log) to keep obs free
-	// of upward imports.
+	// ring buffer dump. Declared as a generic handler (rather than
+	// *provenance.Log) to keep obs free of upward imports.
 	Frames http.Handler
 }
 

@@ -3,9 +3,8 @@
 // (render server, display daemon, relay node, viewer) records
 // per-frame lifecycle events against the wire-carried trace context
 // (transport.TraceCtx) into a bounded in-process ring buffer, exposed
-// at /debug/frames as JSON. A collector (see Collector) crawls those
-// endpoints across a relay tree, aligns clocks, and attributes
-// per-hop latency — the "where did frame 1293 spend its 800 ms"
+// at /debug/frames as JSON. Reading those dumps from every process a
+// frame crossed answers the "where did frame 1293 spend its 800 ms"
 // question the paper's WAN measurements answer by hand.
 package provenance
 
@@ -17,7 +16,7 @@ import (
 )
 
 // Event vocabulary: one constant per lifecycle point. The set is
-// deliberately small and closed — collectors switch on these strings.
+// deliberately small and closed — readers switch on these strings.
 const (
 	// EvRendered marks frame pixels complete at the origin.
 	EvRendered = "rendered"
@@ -45,7 +44,7 @@ const (
 )
 
 // Event is one provenance record. Times are the recording process's
-// own wall clock; the collector corrects cross-host skew.
+// own wall clock; comparing them across hosts needs skew correction.
 type Event struct {
 	// Node names the recording process (relay node name, "viewer-3").
 	Node string `json:"node"`
@@ -63,8 +62,8 @@ type Event struct {
 	Bytes int `json:"bytes,omitempty"`
 	// Cause qualifies drops and replays.
 	Cause string `json:"cause,omitempty"`
-	// Link names the upstream address on received events, letting the
-	// collector bind a child to its parent without guessing from time
+	// Link names the upstream address on received events, letting a
+	// reader bind a child to its parent without guessing from time
 	// order (which interleaves sibling branches in a fan-out tree).
 	Link string `json:"link,omitempty"`
 }
@@ -156,9 +155,9 @@ func (l *Log) Snapshot() []Event {
 }
 
 // Dump is the /debug/frames document: the event snapshot plus the
-// server's clock at serialization, which the collector pairs with its
-// own request timestamps to estimate the clock offset (NTP-style:
-// offset = NowUnixNano - requestMidpoint).
+// server's clock at serialization, which a reader pairs with its own
+// request timestamps to estimate the clock offset (NTP-style: offset
+// = NowUnixNano - requestMidpoint).
 type Dump struct {
 	Node        string  `json:"node"`
 	NowUnixNano int64   `json:"now_unix_nano"`

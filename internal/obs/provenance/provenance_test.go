@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestLogRingBounded: the ring retains at most capacity events, oldest
@@ -94,164 +93,4 @@ func TestLogConcurrentScrapeIngest(t *testing.T) {
 	if got := l.Len(); got != 256 {
 		t.Fatalf("final Len = %d, want full ring 256", got)
 	}
-}
-
-// fakeNode serves a hand-built dump, optionally skewing every
-// timestamp (and the dump clock) by skew — a node whose wall clock
-// runs ahead of the collector's.
-func fakeNode(t *testing.T, name string, skew time.Duration, events []Event) *httptest.Server {
-	t.Helper()
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		d := Dump{Node: name, NowUnixNano: time.Now().Add(skew).UnixNano()}
-		for _, ev := range events {
-			ev.Node = name
-			ev.UnixNano += skew.Nanoseconds()
-			d.Events = append(d.Events, ev)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d)
-	}))
-}
-
-// TestCollectorMergesAndAttributes: three synthetic processes — origin,
-// relay (fed over a slow link), viewer — with the relay's clock skewed
-// 5 s ahead. The collector must cancel the skew, bind links by address,
-// and blame the slow hop.
-func TestCollectorMergesAndAttributes(t *testing.T) {
-	base := time.Now().UnixNano()
-	at := func(d time.Duration) int64 { return base + d.Nanoseconds() }
-	const trace, frames = uint64(42), 5
-
-	var origin, relayEvs, viewer []Event
-	for i := 0; i < frames; i++ {
-		f := uint32(i)
-		t0 := time.Duration(i) * 100 * time.Millisecond
-		origin = append(origin,
-			Event{Trace: trace, Frame: f, Hop: 0, Event: EvRendered, UnixNano: at(t0)},
-			Event{Trace: trace, Frame: f, Hop: 0, Event: EvSent, UnixNano: at(t0 + 2*time.Millisecond), Bytes: 1000},
-		)
-		// The origin→relay hop is the slow one: 60 ms on the wire.
-		relayEvs = append(relayEvs,
-			Event{Trace: trace, Frame: f, Hop: 1, Event: EvReceived, UnixNano: at(t0 + 62*time.Millisecond), Link: "10.0.0.1:7000", Bytes: 1000},
-			Event{Trace: trace, Frame: f, Hop: 1, Event: EvSent, UnixNano: at(t0 + 64*time.Millisecond), Bytes: 900},
-		)
-		viewer = append(viewer,
-			Event{Trace: trace, Frame: f, Hop: 2, Event: EvReceived, UnixNano: at(t0 + 66*time.Millisecond), Link: "10.0.0.2:7000", Bytes: 900},
-			Event{Trace: trace, Frame: f, Hop: 2, Event: EvDisplayed, UnixNano: at(t0 + 67*time.Millisecond)},
-		)
-	}
-	// One drop recorded at the relay, charged to the link feeding it.
-	relayEvs = append(relayEvs, Event{Trace: trace, Frame: 99, Hop: 1, Event: EvDropped, Cause: "pacer-full", UnixNano: at(time.Second), Link: ""})
-
-	srvOrigin := fakeNode(t, "origin", 0, origin)
-	defer srvOrigin.Close()
-	srvRelay := fakeNode(t, "relay", 5*time.Second, relayEvs)
-	defer srvRelay.Close()
-	srvViewer := fakeNode(t, "viewer", 0, viewer)
-	defer srvViewer.Close()
-
-	col := Collector{
-		Nodes: []NodeRef{
-			{Name: "origin", URL: srvOrigin.URL, Addr: "10.0.0.1:7000"},
-			{Name: "relay", URL: srvRelay.URL, Addr: "10.0.0.2:7000"},
-			{Name: "viewer", URL: srvViewer.URL},
-		},
-		Budget: 100 * time.Millisecond,
-	}
-	rep, err := col.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Journeys) != frames+1 {
-		t.Fatalf("journeys = %d, want %d (frames + the dropped one)", len(rep.Journeys), frames+1)
-	}
-	// Clock correction: the relay's 5 s skew must not survive into
-	// hop latency (60 ms true + HTTP RTT error, not 5 s).
-	var slow *LinkStat
-	for i := range rep.Links {
-		if rep.Links[i].Link == "origin→relay" {
-			slow = &rep.Links[i]
-		}
-	}
-	if slow == nil {
-		t.Fatalf("no origin→relay link in %+v", rep.Links)
-	}
-	if slow.P50MS < 20 || slow.P50MS > 500 {
-		t.Fatalf("origin→relay p50 = %.1f ms, want ≈60 (clock skew not cancelled?)", slow.P50MS)
-	}
-	ranked := rep.Attribution()
-	if ranked[0].Link != "origin→relay" {
-		t.Fatalf("attribution blames %q, want origin→relay (full ranking %+v)", ranked[0].Link, ranked)
-	}
-	if slow.BudgetOK != 1 {
-		t.Fatalf("origin→relay budget-ok = %.2f, want 1 (62 ms age < 100 ms budget)", slow.BudgetOK)
-	}
-	found := false
-	for _, l := range rep.Links {
-		if l.Drops["pacer-full"] > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("pacer-full drop not attributed to any link: %+v", rep.Links)
-	}
-}
-
-// TestCollectorSurvivesDeadNodes: unreachable endpoints are reported,
-// not fatal; only an entirely dead tree errors.
-func TestCollectorSurvivesDeadNodes(t *testing.T) {
-	live := fakeNode(t, "root", 0, []Event{{Trace: 1, Frame: 0, Hop: 0, Event: EvRendered, UnixNano: time.Now().UnixNano()}})
-	defer live.Close()
-	col := Collector{Nodes: []NodeRef{
-		{Name: "root", URL: live.URL},
-		{Name: "gone", URL: "http://127.0.0.1:1"},
-	}}
-	rep, err := col.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var deadErr string
-	for _, n := range rep.Nodes {
-		if n.Name == "gone" {
-			deadErr = n.Err
-		}
-	}
-	if deadErr == "" {
-		t.Fatal("dead node's error not surfaced")
-	}
-	col.Nodes = col.Nodes[1:]
-	if _, err := col.Collect(); err == nil {
-		t.Fatal("all-dead tree must error")
-	}
-}
-
-// TestReportSpansAndWaterfalls: the merged report renders non-empty
-// Chrome spans and text waterfalls.
-func TestReportSpansAndWaterfalls(t *testing.T) {
-	now := time.Now().UnixNano()
-	srv := fakeNode(t, "solo", 0, []Event{
-		{Trace: 7, Frame: 3, Hop: 0, Event: EvRendered, UnixNano: now},
-		{Trace: 7, Frame: 3, Hop: 0, Event: EvSent, UnixNano: now + int64(time.Millisecond)},
-	})
-	defer srv.Close()
-	col := Collector{Nodes: []NodeRef{{Name: "solo", URL: srv.URL}}}
-	rep, err := col.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spans := rep.Spans(); len(spans) == 0 {
-		t.Fatal("no spans from a journey")
-	}
-	var buf writerBuf
-	rep.WriteWaterfalls(&buf, 0)
-	if buf.s == "" {
-		t.Fatal("empty waterfall output")
-	}
-}
-
-type writerBuf struct{ s string }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.s += string(p)
-	return len(p), nil
 }

@@ -9,10 +9,9 @@ import (
 	"repro/internal/tf"
 )
 
-// TestRunRecordsStageSpans pins the tracing contract the paperbench
-// pipeline experiment relies on: every (group, step) leader records
-// fetch, render and composite spans on its group's track, plus a
-// deliver span per frame.
+// TestRunRecordsStageSpans pins the pipeline's tracing contract: every
+// (group, step) leader records fetch, render and composite spans on
+// its group's track, plus a deliver span per frame.
 func TestRunRecordsStageSpans(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const steps = 4

@@ -256,13 +256,6 @@ func ListenAndServe(addr string, cfg Config) (*Node, error) {
 // Addr returns the node's downstream listen address.
 func (n *Node) Addr() net.Addr { return n.ln.Addr() }
 
-// Broker exposes the downstream broker (stats, snapshots, cache).
-func (n *Node) Broker() *stream.Broker { return n.broker }
-
-// Provenance exposes the node's frame-provenance log (nil when not
-// configured).
-func (n *Node) Provenance() *provenance.Log { return n.cfg.Prov }
-
 // Parent reports the currently attached upstream address ("" while
 // orphaned).
 func (n *Node) Parent() string {

@@ -122,15 +122,23 @@ func TestTreeFanOut(t *testing.T) {
 	// The root fans out to 2 relay links, not 4 viewers: its per-frame
 	// encode count is bounded by distinct edge operating points (≤ 2),
 	// and each tier contributes its own encodes.
-	tiers := tree.TierEncodes()
-	if len(tiers) != 2 {
-		t.Fatalf("tier encode rows = %d, want 2", len(tiers))
+	rootEncodes := tree.Root.Stats().Encodes.Load()
+	var edgeEncodes, edgeBytes int64
+	for _, n := range tree.Edges() {
+		edgeEncodes += n.broker.Stats().Encodes.Load()
+		edgeBytes += n.broker.Stats().BytesOut.Load()
 	}
-	if tiers[0] == 0 || tiers[1] == 0 {
-		t.Errorf("expected encodes at both tiers, got %v", tiers)
+	if rootEncodes == 0 || edgeEncodes == 0 {
+		t.Errorf("expected encodes at both tiers, got root %d, edges %d", rootEncodes, edgeEncodes)
 	}
-	if tiers[0] > 2*frames {
-		t.Errorf("root encodes %d exceed 2 links x %d frames — fan-out cache not engaged", tiers[0], frames)
+	if rootEncodes > 2*frames {
+		t.Errorf("root encodes %d exceed 2 links x %d frames — fan-out cache not engaged", rootEncodes, frames)
+	}
+	// The tree cuts root egress: the root sends each frame once per
+	// edge link, while a flat root would send what the edges send, once
+	// per viewer.
+	if rootBytes := tree.Root.Stats().BytesOut.Load(); rootBytes >= edgeBytes {
+		t.Errorf("root egress %d B not below the edges' %d B to the viewers", rootBytes, edgeBytes)
 	}
 
 	if n := len(tree.Root.ClientSnapshots()); n != 2 {

@@ -6,12 +6,11 @@ import (
 	"time"
 
 	"repro/internal/guard"
-	"repro/internal/obs/provenance"
 	"repro/internal/stream"
 	"repro/internal/transport"
 )
 
-// TreeSpec describes a local relay tree for tests and experiments: the
+// TreeSpec describes a local relay tree for tests and the soak: the
 // root broker plus Tiers-1 relay levels, each interior node fanning out
 // to FanOut children. Tiers counts daemon levels including the root, so
 // Tiers=1 is the flat single-daemon baseline, Tiers=2 adds one edge
@@ -28,14 +27,10 @@ type TreeSpec struct {
 	FailoverBackoff time.Duration
 	DedupWindow     int
 	// WrapUpstreamFor, when set, supplies the upstream dial wrapper for
-	// the node at (tier, index) — the hook the status experiment uses to
-	// impair exactly one interior link with fault injection. nil (or a
-	// nil return) leaves that node's upstream socket raw.
+	// the node at (tier, index) — the hook the soak uses to impair
+	// exactly one interior link with fault injection. nil (or a nil
+	// return) leaves that node's upstream socket raw.
 	WrapUpstreamFor func(tier, index int) func(net.Conn) net.Conn
-	// Provenance, when true, gives the root broker and every relay node
-	// a frame-provenance log (named after the node) retained on the
-	// tree for collectors.
-	Provenance bool
 	// Guard, when set, attaches every broker and relay node in the tree
 	// to one shared resource governor — valid because a built tree runs
 	// in a single process, so one memory budget covers it. nil =
@@ -51,10 +46,6 @@ type TreeSpec struct {
 type Tree struct {
 	Root   *stream.Broker
 	Levels [][]*Node
-	// RootProv is the root broker's provenance log (nil unless the
-	// spec asked for provenance); relay nodes carry theirs in
-	// Config.Prov.
-	RootProv *provenance.Log
 }
 
 // BuildTree stands a tree up on loopback listeners: the root broker
@@ -75,10 +66,6 @@ func BuildTree(spec TreeSpec) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{Root: root}
-	if spec.Provenance {
-		t.RootProv = provenance.NewLog("root", 0)
-		root.SetProvenance(t.RootProv)
-	}
 	// ancestry[level][i] is node i's own ancestor chain (self first).
 	prevAncestry := [][]string{{root.Addr().String()}}
 	for level := 1; level < spec.Tiers; level++ {
@@ -106,9 +93,6 @@ func BuildTree(spec TreeSpec) (*Tree, error) {
 			}
 			if spec.WrapUpstreamFor != nil {
 				cfg.WrapUpstream = spec.WrapUpstreamFor(level, i)
-			}
-			if spec.Provenance {
-				cfg.Prov = provenance.NewLog(name, 0)
 			}
 			n, err := ListenAndServe("127.0.0.1:0", cfg)
 			if err != nil {
@@ -151,21 +135,6 @@ func (t *Tree) Nodes() []*Node {
 	var out []*Node
 	for _, level := range t.Levels {
 		out = append(out, level...)
-	}
-	return out
-}
-
-// TierEncodes sums encode invocations per tier: index 0 is the root,
-// index i>0 the i-th relay level. This is the per-tier encode count the
-// relay experiment reports.
-func (t *Tree) TierEncodes() []int64 {
-	out := []int64{t.Root.Stats().Encodes.Load()}
-	for _, level := range t.Levels {
-		var sum int64
-		for _, n := range level {
-			sum += n.Broker().Stats().Encodes.Load()
-		}
-		out = append(out, sum)
 	}
 	return out
 }

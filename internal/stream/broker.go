@@ -343,8 +343,8 @@ func (b *Broker) Serve(ln net.Listener) error {
 }
 
 // ServeConn runs the handshake and session for one pre-established
-// connection on a background goroutine — the hook experiments use to
-// wrap each accepted display connection in its own wan profile.
+// connection on a background goroutine — the hook tests and the bench
+// use to wrap each accepted display connection in its own wan profile.
 func (b *Broker) ServeConn(conn net.Conn) {
 	b.mu.Lock()
 	if b.closed {

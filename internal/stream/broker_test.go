@@ -9,10 +9,13 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/datagen"
 	"repro/internal/display"
 	"repro/internal/img"
+	"repro/internal/render"
 	"repro/internal/stream"
 	"repro/internal/testutil"
+	"repro/internal/tf"
 	"repro/internal/transport"
 	"repro/internal/wan"
 )
@@ -495,5 +498,128 @@ func TestLadderRungsMatchDirectCodec(t *testing.T) {
 				t.Fatalf("viewer pixels differ from a direct %s decode", p)
 			}
 		})
+	}
+}
+
+// detailJetFrame renders the jet test volume at size² and overlays
+// seeded ±amp noise per byte. The downscaled volume renders far
+// smoother than the paper's full-resolution turbulence, whose
+// voxel-scale detail is what JPEG quality trades against; without it
+// every rung is about the same size and there is nothing to adapt.
+func detailJetFrame(t *testing.T, size, amp int) *img.Frame {
+	t.Helper()
+	gen, err := datagen.ByName("jet", 0.4, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := gen.Step(15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tfn, err := tf.Preset("jet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, err := render.NewOrbitCamera(v.Dims, 0.6, 0.35, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, _, err := render.Render(v, cam, tfn, render.DefaultOptions(), size, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := im.ToFrame(0)
+	state := uint32(0x9e3779b9)
+	for i, p := range f.Pix {
+		state = state*1664525 + 1013904223
+		n := int(p) + int(state>>24)%(2*amp+1) - amp
+		f.Pix[i] = byte(min(max(n, 0), 255))
+	}
+	return f
+}
+
+// japanSession streams n copies of f, gap apart, through a broker
+// built from cfg to two viewers on the Japan–UCD link, waits until
+// both have sent or dropped every frame, and returns their stats and
+// when the first frame was sent.
+func japanSession(t *testing.T, cfg stream.Config, f *img.Frame, n int, gap time.Duration) (time.Time, []display.ViewerStats) {
+	t.Helper()
+	b := stream.NewBroker(cfg)
+	defer b.Close()
+	var viewers []*display.Viewer
+	for i := 0; i < 2; i++ {
+		v := display.NewViewer(pipeConn(t, b, transport.RoleDisplay, wan.JapanUCD()))
+		viewers = append(viewers, v)
+		go func() {
+			for range v.Frames() {
+			}
+		}()
+	}
+	rend := pipeConn(t, b, transport.RoleRenderer, wan.Profile{})
+	start := time.Now()
+	sendFrames(t, rend, f, n, gap)
+	drained := func() bool {
+		snaps := b.ClientSnapshots()
+		for _, s := range snaps {
+			if s.QueueLen > 0 || s.FramesSent+s.Drops < int64(n) {
+				return false
+			}
+		}
+		return len(snaps) == len(viewers)
+	}
+	// The recheck covers a frame between its queue pop and the
+	// sent-counter increment.
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		if drained() {
+			time.Sleep(250 * time.Millisecond)
+			if drained() {
+				break
+			}
+		}
+	}
+	var stats []display.ViewerStats
+	for _, v := range viewers {
+		v.Close()
+		stats = append(stats, v.Stats())
+	}
+	return start, stats
+}
+
+// On the 45 KB/s Japan–UCD link, adaptive quality holds at least twice
+// the frame rate of the fixed top rung, and its cold-start probe paints
+// a first frame in under a second, no later than the fixed rung does.
+func TestBrokerJapanAdaptiveBeatsFixed(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	f := detailJetFrame(t, 128, 24)
+	const n, gap, target = 25, 30 * time.Millisecond, 120 * time.Millisecond
+	top := stream.DefaultLadder()[0]
+	aStart, adaptive := japanSession(t, stream.Config{Target: target}, f, n, gap)
+	fStart, fixed := japanSession(t, stream.Config{Target: target, FixedPoint: &top}, f, n, gap)
+
+	mean := func(start time.Time, stats []display.ViewerStats) (fps, firstS float64) {
+		for _, s := range stats {
+			if s.Frames == 0 {
+				t.Fatalf("a viewer displayed no frame: %+v", s)
+			}
+			fps += s.FPS() / float64(len(stats))
+			firstS += s.FirstFrame.Sub(start).Seconds() / float64(len(stats))
+		}
+		return fps, firstS
+	}
+	aFPS, aFirst := mean(aStart, adaptive)
+	fFPS, fFirst := mean(fStart, fixed)
+	t.Logf("japan-ucd: adaptive %.2f frames/s, first frame %.2fs; fixed %v %.2f frames/s, first frame %.2fs",
+		aFPS, aFirst, top, fFPS, fFirst)
+	if testutil.RaceEnabled {
+		t.Skip("race detector on: the encode stage, not the link, bounds both rates; wall-clock assertions skipped")
+	}
+	if aFPS < 2*fFPS {
+		t.Errorf("adaptive %.2f frames/s, want >= 2x fixed %.2f", aFPS, fFPS)
+	}
+	if aFirst >= 1 {
+		t.Errorf("adaptive first frame after %.2fs, want under 1s", aFirst)
+	}
+	if fFirst < aFirst {
+		t.Errorf("fixed first frame %.2fs came before adaptive %.2fs", fFirst, aFirst)
 	}
 }

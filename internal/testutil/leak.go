@@ -1,8 +1,9 @@
-// Package testutil holds shared test helpers. The only resident today
-// is the goroutine-leak checker: transport, relay and stream tests end
-// with a CheckGoroutines teardown so a session reader left blocked on a
-// dead conn, or a sender that never drained, fails the test that leaked
-// it instead of the unlucky one that runs next.
+// Package testutil holds shared test helpers. The main one is the
+// goroutine-leak checker: transport, relay and stream tests end with a
+// CheckGoroutines teardown so a session reader left blocked on a dead
+// conn, or a sender that never drained, fails the test that leaked it
+// instead of the unlucky one that runs next. RaceEnabled lets
+// wall-clock assertions step aside under the race detector.
 package testutil
 
 import (

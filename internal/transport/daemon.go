@@ -314,9 +314,9 @@ func (d *Daemon) Serve() error {
 }
 
 // ServeConn runs the handshake and forwarding loop for one
-// pre-established connection on a background goroutine. Tests and
-// experiments use it to wrap individual accepted connections in
-// per-client wan shaping before the daemon writes to them.
+// pre-established connection on a background goroutine. Tests use it
+// to wrap individual accepted connections in per-client wan shaping
+// before the daemon writes to them.
 func (d *Daemon) ServeConn(conn net.Conn) {
 	d.mu.Lock()
 	if d.closed {
